@@ -21,6 +21,7 @@ from .abm import (
 )
 from .dists import (
     DEFAULT_TAIL_TOL,
+    NumericFailure,
     Pmf,
     ServiceDist,
     compound_poisson,
@@ -52,7 +53,6 @@ from .signals import (
 from .solver import (
     EquilibriumReport,
     InfeasibleResponseError,
-    NumericFailure,
     SolverConfig,
     best_response,
     bisection_tail,

@@ -6,7 +6,8 @@ arrival CDFs plus a key-value summary, atomically (temp file + rename),
 so a failed run leaves no partial outputs.
 
 Exit codes: 0 success, 2 scenario parse/validation error, 3 solver
-non-convergence, 4 invalid model parameters.
+non-convergence (outputs still written), 4 invalid model parameters,
+5 numerical failure of the solver (no outputs written).
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from . import abm as abm_mod
 from . import fluid as fluid_mod
 from .dists import ServiceDist, make_deterministic, make_geometric, make_geometric_mixture
 from .signals import SignalParams, posterior_views, signal_marginals
-from .solver import SolverConfig, iterated_best_response, solve_fr
+from .solver import (
+    InfeasibleResponseError,
+    NumericFailure,
+    SolverConfig,
+    iterated_best_response,
+    solve_fr,
+)
 from .workload import SlotGame
 
 MODES = ("fluid", "discrete_br", "discrete_fr", "abm", "compare", "signal")
@@ -35,14 +42,16 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INVALID_PARAMS = 4
+EXIT_NUMERIC_FAILURE = 5
+
+
+# What a mode runner returns: the summary pairs, and whether every solve
+# in the run converged.
+_Outcome = tuple[list[tuple[str, object]], bool]
 
 
 class ScenarioError(ValueError):
     """Scenario file is malformed or inconsistent."""
-
-
-class ConvergenceError(RuntimeError):
-    """Solver failed to converge; the report text is attached."""
 
 
 @dataclass
@@ -174,7 +183,7 @@ def _report_pairs(prefix: str, rep) -> list[tuple[str, object]]:
     ]
 
 
-def _run_fluid(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
+def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
     scn.require("fluid")
     params = fluid_mod.FluidParams(
         lam_a=scn.get("fluid", "lambda_a", float),
@@ -211,27 +220,24 @@ def _run_fluid(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
     for side in ("a", "b"):
         for i, seg in enumerate(eq.segments(side)):
             pairs.append((f"segment_{side}{i}", f"{seg.start!r}:{seg.end!r}:{seg.density!r}"))
-    return pairs
+    return pairs, True
 
 
 def _slot_times(game: SlotGame) -> np.ndarray:
     return np.arange(game.n_slots, dtype=float) * game.tau
 
 
-def _run_discrete_br(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
+def _run_discrete_br(scn: Scenario, outputs: dict) -> _Outcome:
     game = _slot_game(scn)
     cfg = _solver_config(scn)
     pa, pb, rep = iterated_best_response(game, cfg)
     outputs["cdf.csv"] = _csv_lines(
         ["time", "F_a", "F_b"], [_slot_times(game), pa.cdf(), pb.cdf()]
     )
-    pairs = [("mode", "discrete_br")] + _report_pairs("br", rep)
-    if not rep.converged:
-        raise ConvergenceError("\n".join(_summary_lines(pairs)))
-    return pairs
+    return [("mode", "discrete_br")] + _report_pairs("br", rep), rep.converged
 
 
-def _run_discrete_fr(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
+def _run_discrete_fr(scn: Scenario, outputs: dict) -> _Outcome:
     game = _slot_game(scn)
     sig = _signal_params(scn)
     cfg = _solver_config(scn)
@@ -248,9 +254,7 @@ def _run_discrete_fr(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
         ("posterior.zeta_b", view_b.zeta),
     ]
     pairs += _report_pairs("fr_a", rep_a) + _report_pairs("fr_b", rep_b)
-    if not (rep_a.converged and rep_b.converged):
-        raise ConvergenceError("\n".join(_summary_lines(pairs)))
-    return pairs
+    return pairs, rep_a.converged and rep_b.converged
 
 
 def _abm_config(scn: Scenario, game: SlotGame, sig: SignalParams, seed: int) -> abm_mod.AbmConfig:
@@ -271,7 +275,7 @@ def _abm_config(scn: Scenario, game: SlotGame, sig: SignalParams, seed: int) -> 
     )
 
 
-def _run_abm(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
+def _run_abm(scn: Scenario, outputs: dict) -> _Outcome:
     game = _slot_game(scn)
     sig = _signal_params(scn)
     cfg = _abm_config(scn, game, sig, scn.seed)
@@ -286,10 +290,10 @@ def _run_abm(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
         ("abm.wbar_b", float(res.wbar_pop[1])),
         ("abm.contributing_a", int(res.contributing[0])),
         ("abm.contributing_b", int(res.contributing[1])),
-    ]
+    ], True
 
 
-def _run_compare(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
+def _run_compare(scn: Scenario, outputs: dict) -> _Outcome:
     """Bounded-rational, fully-rational and learning outcomes side by side."""
     sig = _signal_params(scn)
     scn.require("game")
@@ -317,12 +321,10 @@ def _run_compare(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
         ("dist.abm_vs_fr_a", sup(res.cdf("a"), pa_fr.cdf())),
         ("dist.abm_vs_fr_b", sup(res.cdf("b"), pb_fr.cdf())),
     ]
-    if not (rep_br.converged and rep_fr_a.converged and rep_fr_b.converged):
-        raise ConvergenceError("\n".join(_summary_lines(pairs)))
-    return pairs
+    return pairs, rep_br.converged and rep_fr_a.converged and rep_fr_b.converged
 
 
-def _run_signal(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
+def _run_signal(scn: Scenario, outputs: dict) -> _Outcome:
     sig = _signal_params(scn)
     marg = signal_marginals(sig.p, sig.q)
     view_a, view_b = posterior_views(sig)
@@ -336,7 +338,7 @@ def _run_signal(scn: Scenario, outputs: dict) -> list[tuple[str, object]]:
         ("eta_b", f"{view_b.eta[0]!r} {view_b.eta[1]!r}"),
         ("zeta_a", view_a.zeta),
         ("zeta_b", view_b.zeta),
-    ]
+    ], True
 
 
 _RUNNERS = {
@@ -369,18 +371,13 @@ def _write_atomic(out_dir: Path, files: dict[str, list[str]]) -> None:
 
 def run_scenario(scn: Scenario, out_dir: str | Path) -> int:
     outputs: dict[str, list[str]] = {}
-    exit_code = EXIT_OK
-    try:
-        pairs = _RUNNERS[scn.mode](scn, outputs)
-    except ConvergenceError as exc:
-        print(f"solver did not converge:\n{exc}", file=sys.stderr)
-        outputs["summary.txt"] = str(exc).splitlines()
-        _write_atomic(Path(out_dir), outputs)
-        return EXIT_NO_CONVERGENCE
-    pairs.insert(0, ("seed", scn.seed))
-    outputs["summary.txt"] = _summary_lines(pairs)
+    pairs, converged = _RUNNERS[scn.mode](scn, outputs)
+    outputs["summary.txt"] = _summary_lines([("seed", scn.seed)] + pairs)
     _write_atomic(Path(out_dir), outputs)
-    return exit_code
+    if not converged:
+        print("solver did not converge:", *outputs["summary.txt"], sep="\n", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -411,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
+    except (NumericFailure, InfeasibleResponseError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_FAILURE
 
 
 if __name__ == "__main__":

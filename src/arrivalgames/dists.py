@@ -31,6 +31,10 @@ _PANJER_SPLIT = 350.0
 _SUPPORT_CAP = 2_000_000
 
 
+class NumericFailure(RuntimeError):
+    """A numerical invariant of a recursion or search does not hold."""
+
+
 def _trim_trailing_zeros(arr: np.ndarray) -> np.ndarray:
     nz = np.flatnonzero(arr)
     if nz.size == 0:
@@ -158,23 +162,21 @@ def make_deterministic(chi) -> ServiceDist:
     return ServiceDist("deterministic", float(chi), 0.0, Pmf.point_mass(chi))
 
 
-def make_geometric(chi: float, tail_tol: float = SERVICE_TAIL_TOL) -> ServiceDist:
+def make_geometric(chi: float) -> ServiceDist:
     """Geometric law on {1, 2, ...} with success probability 1/chi."""
     if chi < 1.0:
         raise ValueError("geometric service mean must be >= 1")
     if chi == 1.0:
         return ServiceDist("geometric", 1.0, 0.0, Pmf.point_mass(1))
     p = 1.0 / chi
-    k_max = int(math.ceil(math.log(tail_tol) / math.log1p(-p))) + 1
+    k_max = int(math.ceil(math.log(SERVICE_TAIL_TOL) / math.log1p(-p))) + 1
     k = np.arange(1, k_max + 1)
     mass = np.zeros(k_max + 1)
     mass[1:] = p * (1.0 - p) ** (k - 1)
     return ServiceDist("geometric", chi, math.sqrt(1.0 - p), Pmf(mass))
 
 
-def make_geometric_mixture(
-    chi: float, cv_target: float, tail_tol: float = SERVICE_TAIL_TOL
-) -> ServiceDist:
+def make_geometric_mixture(chi: float, cv_target: float) -> ServiceDist:
     """Two-component geometric mixture with prescribed mean and CV.
 
     Convention: the first component is pinned to mean 1 (a unit point mass)
@@ -193,7 +195,7 @@ def make_geometric_mixture(
             raise ValueError(
                 f"target CV {cv_target} below geometric CV {cv_geo:.6f} at mean {chi}"
             )
-        geo = make_geometric(chi, tail_tol)
+        geo = make_geometric(chi)
         return ServiceDist("geometric_mixture", chi, geo.cv, geo.pmf)
     s2 = chi * chi * (1.0 + cv_target * cv_target)
     denom = s2 - 3.0 * chi + 2.0
@@ -204,7 +206,7 @@ def make_geometric_mixture(
         raise ValueError("mixture infeasible at this mean/CV pair")
     m2 = (chi - beta) / (1.0 - beta)
     p2 = 1.0 / m2
-    k_max = int(math.ceil(math.log(tail_tol) / math.log1p(-p2))) + 1
+    k_max = int(math.ceil(math.log(SERVICE_TAIL_TOL) / math.log1p(-p2))) + 1
     mass = np.zeros(k_max + 1)
     k = np.arange(1, k_max + 1)
     mass[1:] = (1.0 - beta) * p2 * (1.0 - p2) ** (k - 1)

@@ -85,10 +85,6 @@ class FluidEquilibrium:
         return float(out) if np.isscalar(t) else out
 
 
-def cdf(eq: FluidEquilibrium, side: str, t):
-    return eq.cdf(side, t)
-
-
 def thresholds(params: FluidParams) -> tuple[float, float, float, float]:
     """Horizon thresholds separating the equilibrium cases; strictly increasing."""
     la, lb, ma, mb = params.lam_a, params.lam_b, params.mu_a, params.mu_b

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dists import NumericFailure
 from .signals import SignalParams, posterior_views
 from .workload import (
     ArrivalStrategy,
@@ -25,9 +26,12 @@ from .workload import (
     workload_profile,
 )
 
-
-class NumericFailure(RuntimeError):
-    """Bisection failed to bracket unit mass within the iteration cap."""
+# Slots with probability at or below this count as off the support.
+_MASS_FLOOR = 1e-8
+# The reported verification tolerance, and the looser gate at which a
+# stalled alternation is accepted, as multiples of eps.
+_VERIFY_SCALE = 50.0
+_STALL_SCALE = 200.0
 
 
 class InfeasibleResponseError(RuntimeError):
@@ -40,9 +44,9 @@ class SolverConfig:
 
     ``eps`` is the accepted deviation of total strategy mass from one and
     ``delta`` the stopping distance between successive iterates.
-    ``verify_scale`` ties the reported verification tolerance to eps;
-    ``stall_scale`` is the looser gate at which a stalled alternation is
-    accepted, so converged output always verifies at stall_scale * eps.
+    ``verify_tol`` is the reported verification tolerance (50 eps);
+    ``stall_tol`` is the looser gate at which a stalled alternation is
+    accepted (200 eps), so converged output always verifies at stall_tol.
     """
 
     eps: float = 1e-5
@@ -50,9 +54,6 @@ class SolverConfig:
     max_outer: int = 500
     max_bisect: int = 200
     norm: str = "sup"
-    mass_floor: float = 1e-8
-    verify_scale: float = 50.0
-    stall_scale: float = 200.0
 
     def __post_init__(self):
         if self.eps <= 0.0 or self.delta <= 0.0:
@@ -68,11 +69,11 @@ class SolverConfig:
 
     @property
     def verify_tol(self) -> float:
-        return self.verify_scale * self.eps
+        return _VERIFY_SCALE * self.eps
 
     @property
     def stall_tol(self) -> float:
-        return self.stall_scale * self.eps
+        return _STALL_SCALE * self.eps
 
 
 @dataclass
@@ -99,6 +100,10 @@ class EquilibriumReport:
 
     def passes(self, tol: float) -> bool:
         return self.max_support_spread <= tol and self.max_offsupport_violation <= tol
+
+
+def _probs(p) -> np.ndarray:
+    return p.probs if isinstance(p, ArrivalStrategy) else np.asarray(p, float)
 
 
 class _ResponseEngine:
@@ -196,7 +201,6 @@ def _bisect_tail(engine: _ResponseEngine, theta: int, eps: float, max_iter: int)
 
 
 def bisection_tail(
-    p_i,
     p_minus,
     game: SlotGame,
     belief: str,
@@ -204,20 +208,10 @@ def bisection_tail(
     eps: float,
     max_iter: int = 200,
 ) -> tuple[np.ndarray, float]:
-    """Standalone bisection stage: given a strategy that is zero from slot
-    ``theta`` on, search the atom there; returns (strategy, inf) on success
-    or (unchanged, theta + 1) when mass overshoots at a zero atom."""
-    probs = p_i.probs if isinstance(p_i, ArrivalStrategy) else np.asarray(p_i, float)
-    if np.any(probs[theta:] != 0.0):
-        raise ValueError("strategy must be zero from the start slot onward")
-    minus = p_minus.probs if isinstance(p_minus, ArrivalStrategy) else np.asarray(p_minus, float)
-    engine = _ResponseEngine(game, belief, minus)
-    if np.any(probs[:theta] != 0.0):
-        raise ValueError("strategy must be zero before the start slot as well")
-    p, status = _bisect_tail(engine, theta, eps, max_iter)
-    if status == math.inf:
-        return p, math.inf
-    return probs.copy(), status
+    """Standalone bisection stage: with no own-type mass before ``theta``,
+    search the atom there; returns (strategy, inf) on success or
+    (zeros, theta + 1) when mass overshoots at a zero atom."""
+    return _bisect_tail(_ResponseEngine(game, belief, _probs(p_minus)), theta, eps, max_iter)
 
 
 def best_response(
@@ -235,8 +229,7 @@ def best_response(
     is accepted when the atom bisection closes on unit mass. The returned
     vector has total mass within eps of one.
     """
-    minus = p_minus.probs if isinstance(p_minus, ArrivalStrategy) else np.asarray(p_minus, float)
-    engine = _ResponseEngine(game, belief, minus)
+    engine = _ResponseEngine(game, belief, _probs(p_minus))
     if engine.lam_own == 0.0:
         # A vanishing population does not move the queue: its members all
         # pick the cheapest slot.
@@ -266,26 +259,19 @@ def best_response(
     raise InfeasibleResponseError(f"no start slot admits a response for type {belief}")
 
 
-def verify_equilibrium(
-    game: SlotGame,
-    p_a,
-    p_b,
-    tol: float,
-    mass_floor: float = 1e-8,
-) -> EquilibriumReport:
+def verify_equilibrium(game: SlotGame, p_a, p_b, tol: float) -> EquilibriumReport:
     """Check the constant-wait conditions for a strategy pair.
 
     The equilibrium wait per type is the mass-weighted average wait; the
     report carries the within-support spread and the worst off-support
     improvement, and ``passes(tol)`` requires both below tol.
     """
-    pa = p_a.probs if isinstance(p_a, ArrivalStrategy) else np.asarray(p_a, float)
-    pb = p_b.probs if isinstance(p_b, ArrivalStrategy) else np.asarray(p_b, float)
+    pa, pb = _probs(p_a), _probs(p_b)
     out = {}
     for belief, probs in (("a", pa), ("b", pb)):
         prof = workload_profile(game, pa, pb, belief, mass_tol=1e-3)
-        support = np.flatnonzero(probs > mass_floor)
-        off = np.flatnonzero(probs <= mass_floor)
+        support = np.flatnonzero(probs > _MASS_FLOOR)
+        off = np.flatnonzero(probs <= _MASS_FLOOR)
         wbar = float(probs @ prof.w) / float(probs.sum())
         spread = float(prof.w[support].max() - prof.w[support].min()) if support.size else 0.0
         viol = float(max(0.0, (wbar - prof.w[off]).max())) if off.size else 0.0
@@ -344,7 +330,6 @@ def iterated_best_response(
                     ArrivalStrategy(pa).normalized(),
                     ArrivalStrategy(pb).normalized(),
                     cfg.stall_tol,
-                    cfg.mass_floor,
                 )
                 if probe.passes(cfg.stall_tol):
                     converged = True
@@ -353,7 +338,7 @@ def iterated_best_response(
             delta_checkpoint = delta
     sa = ArrivalStrategy(pa).normalized()
     sb = ArrivalStrategy(pb).normalized()
-    report = verify_equilibrium(game, sa, sb, cfg.verify_tol, cfg.mass_floor)
+    report = verify_equilibrium(game, sa, sb, cfg.verify_tol)
     report.iterations = iterations
     report.converged = converged
     report.stalled = stalled

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import DEFAULT_TAIL_TOL, Pmf, ServiceDist, compound_poisson, convolve
+from .dists import (
+    DEFAULT_TAIL_TOL,
+    NumericFailure,
+    Pmf,
+    ServiceDist,
+    compound_poisson,
+    convolve,
+)
 
 _DELTA0 = Pmf.point_mass(0)
 
@@ -113,20 +120,21 @@ def _as_probs(p, n_slots: int, mass_tol: float) -> np.ndarray:
     return np.clip(arr, 0.0, None)
 
 
-def step_pmf(v: Pmf, h: Pmf, tau: int) -> Pmf:
-    """One-slot update: add the arriving work, then drain tau units.
+def _collapse_shift(c: np.ndarray, tau: int) -> np.ndarray:
+    """Drain tau units from the workload-plus-arrivals law ``c``: its mass
+    at or below tau collapses onto zero and the remainder shifts left by
+    tau."""
+    if c.size <= tau + 1:
+        return np.array([float(c.sum())])
+    return np.concatenate(([float(c[: tau + 1].sum())], c[tau + 1 :]))
 
-    Mass of v*h at or below tau collapses onto zero; the remainder shifts
-    left by tau.
-    """
+
+def step_pmf(v: Pmf, h: Pmf, tau: int) -> Pmf:
+    """One-slot update: add the arriving work, then drain tau units."""
     if int(tau) != tau or tau < 1:
         raise ValueError("slot length must be a positive integer")
     c = convolve(v, h)
-    cm = c.mass
-    if cm.size <= tau + 1:
-        return Pmf(np.array([float(cm.sum())]), c.tail_bound)
-    out = np.concatenate(([float(cm[: tau + 1].sum())], cm[tau + 1 :]))
-    return Pmf(out, c.tail_bound)
+    return Pmf(_collapse_shift(c.mass, tau), c.tail_bound)
 
 
 @dataclass(frozen=True)
@@ -146,10 +154,9 @@ class WorkloadStepper:
     search) can branch from any prefix without copying.
     """
 
-    def __init__(self, service: ServiceDist, tau: int, tail_tol: float = DEFAULT_TAIL_TOL):
+    def __init__(self, service: ServiceDist, tau: int):
         self.service = service
         self.tau = int(tau)
-        self.tail_tol = tail_tol
 
     def initial(self) -> SlotState:
         return SlotState(0, _DELTA0, 0.0, 0.0)
@@ -160,29 +167,23 @@ class WorkloadStepper:
         return state.ev + 0.5 * load * self.service.chi
 
     def advance(self, state: SlotState, load: float) -> SlotState:
-        h = compound_poisson(load, self.service, self.tail_tol)
-        c = convolve(state.v, h)
-        cm = c.mass
+        h = compound_poisson(load, self.service)
+        cm = np.convolve(state.v.mass, h.mass)
         tau = self.tau
         head = cm[: min(tau, cm.size)]
         idle_credit = float((tau - np.arange(head.size)) @ head)
         ev_tel = state.ev_tel + load * self.service.chi - tau + idle_credit
-        if cm.size <= tau + 1:
-            v_next = Pmf(np.array([float(cm.sum())]), c.tail_bound)
-        else:
-            v_next = Pmf(
-                np.concatenate(([float(cm[: tau + 1].sum())], cm[tau + 1 :])),
-                c.tail_bound,
-            )
+        v_next = Pmf(_collapse_shift(cm, tau))
         ev = v_next.mean()
         t_next = state.slot + 1
         # Both means are exact up to truncation dust, which grows with the
         # support size and the number of slots composed so far.
-        slack = 10.0 * self.tail_tol * cm.size * (t_next + 1) + 1e-9
-        assert abs(ev - ev_tel) <= slack, (
-            f"workload mean cross-check failed at slot {t_next}: "
-            f"direct {ev!r} vs telescoped {ev_tel!r}"
-        )
+        slack = 10.0 * DEFAULT_TAIL_TOL * cm.size * (t_next + 1) + 1e-9
+        if not abs(ev - ev_tel) <= slack:
+            raise NumericFailure(
+                f"workload mean cross-check failed at slot {t_next}: "
+                f"direct {ev!r} vs telescoped {ev_tel!r}"
+            )
         return SlotState(t_next, v_next, ev, ev_tel)
 
 

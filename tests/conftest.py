@@ -1,12 +1,6 @@
 import pytest
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "criterion(label): acceptance criterion identifier for reporting"
-    )
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

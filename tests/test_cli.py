@@ -3,6 +3,7 @@ import pytest
 
 from arrivalgames.cli import (
     EXIT_INVALID_PARAMS,
+    EXIT_NUMERIC_FAILURE,
     EXIT_OK,
     EXIT_PARSE,
     load_scenario,
@@ -215,6 +216,17 @@ class TestNonConvergence:
         assert main(["run", str(path), "--out", str(out)]) == 3
         assert "br.converged = False" in (out / "summary.txt").read_text()
         assert "did not converge" in capsys.readouterr().err
+
+
+class TestNumericFailure:
+    def test_exit_code_and_no_outputs(self, tmp_path, capsys):
+        # no atom closes the strategy mass on one within eps = 1e-300
+        path = write(tmp_path, BR_SCENARIO + "\n[solver]\neps = 1e-300\nmax_outer = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_NUMERIC_FAILURE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
 class TestCompareMode:

@@ -40,7 +40,7 @@ def random_game(rng) -> SlotGame:
 class TestBisection:
     def test_tiny_load_equalizes_waits(self):
         g = SlotGame(0.1, 0.0, 3, 2, make_deterministic(1), make_deterministic(1))
-        p, status = bisection_tail(np.zeros(2), np.zeros(2), g, "a", 0, EPS)
+        p, status = bisection_tail(np.zeros(2), g, "a", 0, EPS)
         assert status == math.inf
         assert abs(p.sum() - 1.0) < EPS
         prof = workload_profile(g, p / p.sum(), ArrivalStrategy.uniform(2), "a")
@@ -49,7 +49,7 @@ class TestBisection:
     def test_success_mass_window(self):
         g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
         minus = ArrivalStrategy.uniform(5).probs
-        p, status = bisection_tail(np.zeros(5), minus, g, "a", 0, EPS)
+        p, status = bisection_tail(minus, g, "a", 0, EPS)
         assert status == math.inf
         assert 1.0 - EPS < p.sum() < 1.0 + EPS
 
@@ -59,15 +59,9 @@ class TestBisection:
         g = SlotGame(0.5, 12.5, 1, 60, make_deterministic(4), make_deterministic(2))
         minus = np.zeros(60)
         minus[0] = 1.0
-        p, status = bisection_tail(np.zeros(60), minus, g, "a", 0, EPS)
+        p, status = bisection_tail(minus, g, "a", 0, EPS)
         assert status == 1
         assert np.all(p == 0.0)
-
-    def test_rejects_preloaded_strategy(self):
-        g = SlotGame(1.0, 1.0, 1, 4, make_deterministic(2), make_deterministic(1))
-        bad = np.array([0.5, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            bisection_tail(bad, np.zeros(4), g, "a", 1, EPS)
 
 
 class TestBestResponse:
@@ -132,10 +126,27 @@ class TestIteratedBestResponse:
         assert pa.total == pytest.approx(1.0, abs=1e-12)
         assert pb.total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the alternation cycles with period 3 (distance about 0.1) on this "
+        "game; ROADMAP item 4, an accelerated outer iteration, is to fix it",
+    )
+    def test_period_three_cycle_converges(self):
+        g = SlotGame(
+            4.59239342549526,
+            1.0732023832590347,
+            3,
+            5,
+            make_geometric(3.377256143431456),
+            make_geometric(2.3385075468504226),
+        )
+        _, _, rep = iterated_best_response(g, SolverConfig(max_outer=60))
+        assert rep.converged
+
 
 class TestExistenceBattery:
     def test_fifty_random_instances_converge_and_verify(self):
-        # converged output must verify at the documented stall_scale * eps;
+        # converged output must verify at the documented stall_tol;
         # most instances meet the tighter verify_tol as well
         rng = np.random.default_rng(2024)
         cfg = SolverConfig()

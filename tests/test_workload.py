@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from arrivalgames.dists import (
+    NumericFailure,
     Pmf,
     compound_poisson,
     make_deterministic,
@@ -12,6 +13,7 @@ from arrivalgames.workload import (
     ArrivalStrategy,
     InvalidStrategyError,
     SlotGame,
+    SlotState,
     WorkloadStepper,
     expected_wait,
     step_pmf,
@@ -99,6 +101,12 @@ class TestDualMeanAgreement:
                 k_max = max(len(v) for v in prof.v)
                 tol = 10 * 1e-12 * max(k_max, 1)
                 assert np.max(np.abs(prof.ev - prof.ev_telescoped)) <= tol
+
+    def test_disagreement_raises_typed_error(self):
+        # a state whose telescoped mean (0) misstates its law's mean (5)
+        stepper = WorkloadStepper(make_geometric(2.5), 2)
+        with pytest.raises(NumericFailure, match="cross-check"):
+            stepper.advance(SlotState(0, Pmf.point_mass(5), 5.0, 0.0), 1.0)
 
 
 class TestMonotoneLoad:
