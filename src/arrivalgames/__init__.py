@@ -24,6 +24,7 @@ from .dists import (
     NumericFailure,
     Pmf,
     ServiceDist,
+    SupportBudgetError,
     compound_poisson,
     convolve,
     make_deterministic,
@@ -93,6 +94,7 @@ __all__ = [
     "SignalParams",
     "SlotGame",
     "SolverConfig",
+    "SupportBudgetError",
     "WorkloadProfile",
     "WorkloadStepper",
     "best_response",

@@ -7,7 +7,8 @@ so a failed run leaves no partial outputs.
 
 Exit codes: 0 success, 2 scenario parse/validation error, 3 solver
 non-convergence (outputs still written), 4 invalid model parameters,
-5 numerical failure of the solver (no outputs written).
+including a model past the workload kernel's support budget (no outputs
+written), 5 numerical failure of the solver (no outputs written).
 """
 
 from __future__ import annotations

@@ -3,15 +3,27 @@
 Everything lives on the nonnegative integer lattice: service-time laws
 (deterministic, geometric, two-component geometric mixtures), pmf
 convolution, and the compound-Poisson law of the work arriving in one
-time slot. All pmfs are dense float arrays carrying an explicit bound on
-the probability mass lost to truncation, so downstream recursions can
-account for accumulated error.
+time slot. A checked ``Pmf`` is a dense float array with an explicit
+bound on the probability mass lost to truncation.
+
+One private kernel on plain arrays adds a slot's compound-Poisson work
+to a workload law. For long jump laws (geometric, mixtures) it takes one
+FFT per step, ``irfft(rfft(v, n) * exp(lam * (X_n - 1)))``, with the
+jump law's transform ``X_n`` kept per FFT length; for short ones
+(deterministic service and its mixtures) it convolves a Poisson count on
+the multiples of each atom (Embrechts and Frei 2009, "Panjer recursion
+versus FFT for compound distributions"). A Chernoff bound sets the
+truncation so that both the dropped mass and the dropped first moment
+stay within tolerance, and the kernel carries the lost mass as a float.
+``compound_poisson`` is the same kernel applied to a point mass at zero.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,24 +34,35 @@ DEFAULT_TAIL_TOL = 1e-12
 # jump law's deficit, which must stay negligible at the rates used here.
 SERVICE_TAIL_TOL = DEFAULT_TAIL_TOL * 1e-3
 
-# Largest Poisson rate handled by a single Panjer pass; larger rates are
-# split in half and recombined by convolution so exp(-rate) never underflows.
-_PANJER_SPLIT = 350.0
+# Widest window of a workload law plus its arriving work that the kernel
+# builds, on either path, and the longest service law the constructors
+# build: an input that needs more fails fast with SupportBudgetError.
+_MAX_SUPPORT = 1 << 21
 
-# Hard ceiling on adaptive support growth; hitting it means the jump law
-# or rate is far outside the regimes this library targets.
-_SUPPORT_CAP = 2_000_000
+# Jump laws with at most this many atoms (deterministic service and its
+# mixtures) are added by Poisson thinning; longer ones by one FFT.
+_THINNING_ATOMS = 8
+
+# FFT lengths: powers of two and three times powers of two, up to the budget.
+_FFT_SIZES = sorted([2**k for k in range(4, 22)] + [3 * 2**k for k in range(3, 20)])
+
+# Points of the grid of s on which the kernel minimises its Chernoff bound.
+_CHERNOFF_POINTS = 128
 
 
 class NumericFailure(RuntimeError):
     """A numerical invariant of a recursion or search does not hold."""
 
 
+class SupportBudgetError(ValueError):
+    """An input needs a support past the kernel's fixed size budget."""
+
+
 def _trim_trailing_zeros(arr: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(arr)
-    if nz.size == 0:
-        return arr[:1]
-    return arr[: nz[-1] + 1]
+    if arr[-1] != 0.0:
+        return arr
+    nz = arr.nonzero()[0]
+    return arr[: nz[-1] + 1] if nz.size else arr[:1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +133,11 @@ class Pmf:
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.mass)
 
+    @cached_property
+    def _as_jumps(self) -> "_JumpLaw":
+        """This law as the jump law of the compound-Poisson kernel."""
+        return _JumpLaw(self)
+
 
 def moments(f: Pmf) -> tuple[float, float, float]:
     """Mean, variance and coefficient of variation on the truncated support."""
@@ -162,6 +190,18 @@ def make_deterministic(chi) -> ServiceDist:
     return ServiceDist("deterministic", float(chi), 0.0, Pmf.point_mass(chi))
 
 
+def _geometric_support(mean: float) -> int:
+    """Largest service time kept of a geometric law with this mean."""
+    p = 1.0 / mean
+    k_max = math.ceil(math.log(SERVICE_TAIL_TOL) / math.log1p(-p)) + 1 if p > 0.0 else math.inf
+    if not k_max < _MAX_SUPPORT:
+        raise SupportBudgetError(
+            f"a geometric law of mean {mean!r} needs {k_max} entries, past the "
+            f"budget of {_MAX_SUPPORT}"
+        )
+    return int(k_max)
+
+
 def make_geometric(chi: float) -> ServiceDist:
     """Geometric law on {1, 2, ...} with success probability 1/chi."""
     if chi < 1.0:
@@ -169,7 +209,7 @@ def make_geometric(chi: float) -> ServiceDist:
     if chi == 1.0:
         return ServiceDist("geometric", 1.0, 0.0, Pmf.point_mass(1))
     p = 1.0 / chi
-    k_max = int(math.ceil(math.log(SERVICE_TAIL_TOL) / math.log1p(-p))) + 1
+    k_max = _geometric_support(chi)
     k = np.arange(1, k_max + 1)
     mass = np.zeros(k_max + 1)
     mass[1:] = p * (1.0 - p) ** (k - 1)
@@ -206,7 +246,7 @@ def make_geometric_mixture(chi: float, cv_target: float) -> ServiceDist:
         raise ValueError("mixture infeasible at this mean/CV pair")
     m2 = (chi - beta) / (1.0 - beta)
     p2 = 1.0 / m2
-    k_max = int(math.ceil(math.log(SERVICE_TAIL_TOL) / math.log1p(-p2))) + 1
+    k_max = _geometric_support(m2)
     mass = np.zeros(k_max + 1)
     k = np.arange(1, k_max + 1)
     mass[1:] = (1.0 - beta) * p2 * (1.0 - p2) ** (k - 1)
@@ -228,19 +268,144 @@ def mix_services(x_a: ServiceDist, x_b: ServiceDist, weight_a: float) -> Service
     return ServiceDist("mixture", chi, cv, Pmf(mass))
 
 
-def _panjer_extend(lam: float, jump_rev: np.ndarray, h: np.ndarray, upto: int) -> np.ndarray:
-    """Continue the compound-Poisson recursion h(k) = (lam/k) sum_j j x(j) h(k-j).
+class _JumpLaw:
+    """What the compound-Poisson kernel reuses per jump law: its atoms, the
+    terms of a Chernoff bound on a fixed grid of s, and its transforms by
+    FFT length.
 
-    ``jump_rev`` holds j * x(j) for j = K_x .. 1 (reversed), so each step is
-    a contiguous dot product.
+    A law of at most _THINNING_ATOMS atoms is added by Poisson thinning,
+    any longer one by FFT.
     """
-    kx = jump_rev.size
-    out = np.empty(upto + 1)
-    out[: h.size] = h
-    for k in range(h.size, upto + 1):
-        m = min(k, kx)
-        out[k] = (lam / k) * float(out[k - m : k] @ jump_rev[kx - m :])
-    return out
+
+    def __init__(self, x: Pmf):
+        mass = x.mass
+        atoms = np.flatnonzero(mass)
+        weights = mass[atoms]
+        self.mass = mass
+        self.tail_bound = x.tail_bound
+        # The FFT path loses the missing mass of the truncated jump law
+        # through exp(lam (X(0) - 1)); thinning scales by the same factor.
+        self.deficit = max(0.0, 1.0 - float(weights.sum()))
+        self.thin = atoms.size <= _THINNING_ATOMS
+        self.atoms = list(zip(atoms.tolist(), weights.tolist()))
+        # M(s) - 1 and M'(s) of the jump law on a grid of s wide enough for
+        # every rate: from far below the reach of the longest atom to far
+        # above that of the shortest.
+        self.s = np.geomspace(1e-3 / atoms[-1], 40.0 / atoms[0], _CHERNOFF_POINTS)
+        grow = np.empty_like(self.s)
+        slope = np.empty_like(self.s)
+        with np.errstate(over="ignore"):
+            for i, s in enumerate(self.s):
+                e = np.expm1(s * atoms)
+                grow[i] = weights @ e
+                slope[i] = (weights * atoms) @ (e + 1.0)
+        # Where the bound is useless anyway, inf keeps lam times it from
+        # overflowing.
+        useless = ~((grow < 1e150) & (slope < 1e150))
+        grow[useless] = slope[useless] = np.inf
+        self.mgf_m1 = grow - self.deficit
+        self.dmgf = slope
+        self._spectra: dict[int, np.ndarray] = {}
+        self._log_factorial = np.zeros(1)
+
+    def cutoff(self, lam: float, k: int, tol: float) -> float:
+        """A length L with E[(k + S); S >= L] <= tol for the compound sum S
+        at rate lam: exp(-sL) E[(k + S) exp(sS)] at the best s of the grid.
+        It bounds both the mass and the first moment of what a window of
+        k - 1 + L entries drops from a workload law of k entries plus S."""
+        exponent = lam * self.mgf_m1 + np.log(k + lam * self.dmgf) - math.log(tol)
+        return float((exponent / self.s).min())
+
+    def floor(self, lam: float) -> float:
+        """Mass the compound law misses because the jump law is truncated."""
+        return -math.expm1(-lam * self.tail_bound)
+
+    def spectrum(self, n: int) -> np.ndarray:
+        """rfft of the jump law wrapped onto n points, minus one."""
+        out = self._spectra.get(n)
+        if out is None:
+            wrapped = np.pad(self.mass, (0, -self.mass.size % n)).reshape(-1, n).sum(axis=0)
+            out = self._spectra[n] = np.fft.rfft(wrapped) - 1.0
+        return out
+
+    def thinned(self, lam: float, n: int) -> np.ndarray:
+        """The compound law at rate lam on 0 .. n-1: a Poisson(lam x_j)
+        count on the multiples of each atom j, convolved over the atoms.
+        The counts come from logs, so that no rate over- or underflows."""
+        if self._log_factorial.size < n:
+            size = min(max(n, 2 * self._log_factorial.size), _MAX_SUPPORT)
+            self._log_factorial = np.array([math.lgamma(i + 1.0) for i in range(size)])
+        h = None
+        for j, x in self.atoms:
+            mu = lam * x
+            # a rate that underflows to zero leaves the point mass at zero
+            m = (n - 1) // j + 1 if mu > 0.0 else 1
+            count = np.exp(np.arange(m) * math.log(mu or 1.0) - mu - self._log_factorial[:m])
+            lattice = np.zeros((m - 1) * j + 1)
+            lattice[::j] = count
+            h = lattice if h is None else np.convolve(h, lattice)[:n]
+        return h * math.exp(-lam * self.deficit) if self.deficit else h
+
+
+def _add_compound(
+    v: np.ndarray,
+    tail: float,
+    lam: float,
+    jumps: Pmf,
+    tol: float = DEFAULT_TAIL_TOL,
+    length: int | None = None,
+) -> tuple[np.ndarray, float]:
+    """Law of V + S on plain arrays, for V with law ``v`` (missing at most
+    ``tail`` of its mass) and S compound Poisson with rate ``lam`` and
+    jump law ``jumps``, independent of V.
+
+    The window is the first ``length`` entries, or by default the shortest
+    one whose dropped mass and first moment are both within ``tol``.
+    Returns the window, without trailing zeros, and the bound on its
+    missing mass. Checks what a ``Pmf`` checks: finite, nonnegative up to
+    FFT round-off, mass at most one, and (by default) a deficit within the
+    returned bound.
+    """
+    if not math.isfinite(lam) or lam < 0.0:
+        raise ValueError("compound rate must be finite and nonnegative")
+    if lam == 0.0:
+        return v, tail
+    law = jumps._as_jumps
+    k = v.size
+    cut = law.cutoff(lam, k, tol)
+    if not k + cut <= _MAX_SUPPORT or (length is not None and length > _MAX_SUPPORT):
+        raise SupportBudgetError(
+            f"compound-Poisson rate {lam!r} on a workload of {k} entries needs a "
+            f"support past the budget of {_MAX_SUPPORT} entries"
+        )
+    # Any window of at least `safe` entries drops only outcomes with S >= L.
+    safe = k + max(int(math.ceil(cut)), 1) - 1
+    m = safe if length is None else length
+    if law.thin:
+        c = np.convolve(v, law.thinned(lam, max(m - k + 1, 1)))[:m]
+    else:
+        # Outcomes at or past n wrap onto the window; n >= safe keeps their
+        # mass and first moment within tol as well.
+        n = _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, max(m, safe))]
+        c = np.fft.irfft(np.fft.rfft(v, n) * np.exp(lam * law.spectrum(n)), n)[:m]
+    total = float(c.sum())
+    if not math.isfinite(total):
+        raise NumericFailure("compound-Poisson step produced non-finite mass")
+    low = float(c.min())
+    if low < 0.0:
+        if low < -1e-12:
+            raise NumericFailure(f"compound-Poisson step produced mass {low!r} < 0")
+        c = np.maximum(c, 0.0)
+        total = float(c.sum())
+    c = _trim_trailing_zeros(c)
+    if total > 1.0 + 1e-9:
+        raise NumericFailure(f"compound-Poisson step produced total mass {total!r} > 1")
+    bound = tail + law.floor(lam) + tol
+    if length is None and 1.0 - total > bound + 1e-9:
+        raise NumericFailure(
+            f"compound-Poisson step lost mass {1.0 - total!r} past its bound {bound!r}"
+        )
+    return c, bound
 
 
 def compound_poisson(
@@ -251,36 +416,13 @@ def compound_poisson(
 ) -> Pmf:
     """Law of a Poisson(lam)-indexed sum of iid positive jumps.
 
-    Support is extended adaptively until the truncated tail is below
-    ``tail_tol``; passing ``k_max`` instead fixes the truncation point.
+    The support ends where the dropped tail mass and first moment are both
+    within ``tail_tol``; passing ``k_max`` instead fixes the truncation
+    point.
     """
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError("compound rate must be finite and nonnegative")
     x = jumps.pmf if isinstance(jumps, ServiceDist) else jumps
-    if x.mass[0] != 0.0:
-        raise ValueError("jump law must put no mass at zero")
-    if lam == 0.0:
-        return Pmf.point_mass(0)
-    if lam > _PANJER_SPLIT:
-        half = compound_poisson(lam / 2.0, x, tail_tol / 2.0, k_max)
-        out = convolve(half, half)
-        return out if k_max is None else Pmf(out.mass[: k_max + 1])
-    jump = x.mass
-    jx = np.arange(jump.size) * jump
-    jump_rev = jx[1:][::-1]
-    mean_j = float(jx.sum())
-    m2_j = float((np.arange(jump.size) ** 2) @ jump)
-    guess = int(math.ceil(lam * mean_j + 12.0 * math.sqrt(lam * m2_j))) + jump.size + 16
-    target = guess if k_max is None else int(k_max)
-    h = np.array([math.exp(-lam)])
-    h = _panjer_extend(lam, jump_rev, h, target)
-    if k_max is None:
-        # The truncated jump law leaves an irreducible deficit of about
-        # lam times its own tail; stop once within tail_tol of that floor.
-        floor = -math.expm1(-lam * x.tail_bound)
-        while 1.0 - h.sum() > tail_tol + floor:
-            if 2 * target > _SUPPORT_CAP:
-                raise RuntimeError("compound-Poisson support exceeded the hard cap")
-            target *= 2
-            h = _panjer_extend(lam, jump_rev, h, target)
-    return Pmf(h)
+    if x.mass[0] != 0.0 or x.mass.size == 1:
+        raise ValueError("jump law must put its mass on positive values")
+    length = None if k_max is None else int(k_max) + 1
+    c, _ = _add_compound(np.ones(1), 0.0, lam, x, tail_tol, length)
+    return Pmf(c)

@@ -20,11 +20,13 @@ from .dists import (
     NumericFailure,
     Pmf,
     ServiceDist,
-    compound_poisson,
+    _add_compound,
+    compound_poisson,  # kept in this namespace: bench/tracer.py wraps it here
     convolve,
 )
 
-_DELTA0 = Pmf.point_mass(0)
+_DELTA0 = np.ones(1)
+_DELTA0.flags.writeable = False
 
 
 class InvalidStrategyError(ValueError):
@@ -139,12 +141,20 @@ def step_pmf(v: Pmf, h: Pmf, tau: int) -> Pmf:
 
 @dataclass(frozen=True)
 class SlotState:
-    """Workload law just before a slot, with direct and telescoped means."""
+    """Workload law just before a slot, as a plain array, with the carried
+    bound on its missing mass and its direct and telescoped means. A
+    ``Pmf`` given as ``v`` is unwrapped into its array and bound."""
 
     slot: int
-    v: Pmf
+    v: np.ndarray
     ev: float
     ev_tel: float
+    tail: float = 0.0
+
+    def __post_init__(self):
+        if isinstance(self.v, Pmf):
+            object.__setattr__(self, "tail", self.v.tail_bound)
+            object.__setattr__(self, "v", self.v.mass)
 
 
 class WorkloadStepper:
@@ -167,24 +177,24 @@ class WorkloadStepper:
         return state.ev + 0.5 * load * self.service.chi
 
     def advance(self, state: SlotState, load: float) -> SlotState:
-        h = compound_poisson(load, self.service)
-        cm = np.convolve(state.v.mass, h.mass)
+        c, tail = _add_compound(state.v, state.tail, load, self.service.pmf)
         tau = self.tau
-        head = cm[: min(tau, cm.size)]
+        head = c[: min(tau, c.size)]
         idle_credit = float((tau - np.arange(head.size)) @ head)
         ev_tel = state.ev_tel + load * self.service.chi - tau + idle_credit
-        v_next = Pmf(_collapse_shift(cm, tau))
-        ev = v_next.mean()
+        v_next = _collapse_shift(c, tau)
+        v_next.flags.writeable = False
+        ev = float(np.arange(v_next.size) @ v_next)
         t_next = state.slot + 1
         # Both means are exact up to truncation dust, which grows with the
         # support size and the number of slots composed so far.
-        slack = 10.0 * DEFAULT_TAIL_TOL * cm.size * (t_next + 1) + 1e-9
+        slack = 10.0 * DEFAULT_TAIL_TOL * c.size * (t_next + 1) + 1e-9
         if not abs(ev - ev_tel) <= slack:
             raise NumericFailure(
                 f"workload mean cross-check failed at slot {t_next}: "
                 f"direct {ev!r} vs telescoped {ev_tel!r}"
             )
-        return SlotState(t_next, v_next, ev, ev_tel)
+        return SlotState(t_next, v_next, ev, ev_tel, tail)
 
 
 @dataclass(frozen=True)
@@ -220,7 +230,7 @@ def workload_profile(
     state = stepper.initial()
     vs, evs, tels, ws = [], [], [], []
     for t in range(game.n_slots):
-        vs.append(state.v)
+        vs.append(Pmf(state.v, state.tail))
         evs.append(state.ev)
         tels.append(state.ev_tel)
         ws.append(stepper.wait(state, loads[t]))

@@ -229,6 +229,20 @@ class TestNumericFailure:
         assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
+class TestSupportBudget:
+    def test_exit_code_and_no_outputs(self, tmp_path, capsys):
+        # a Poisson rate of 1e7 needs a compound law past the kernel's budget
+        text = BR_SCENARIO.replace("lambda_a = 2", "lambda_a = 1e7").replace(
+            "lambda_b = 2", "lambda_b = 1e7"
+        )
+        path = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_INVALID_PARAMS
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters:") and "budget" in err
+
+
 class TestCompareMode:
     def test_three_tables_and_distances(self, tmp_path):
         text = ABM_SCENARIO.replace("mode = abm", "mode = compare")

@@ -115,7 +115,6 @@ class TestCompoundPoisson:
             compound_poisson(-0.1, make_geometric(2))
 
     def test_split_path_consistent(self):
-        # forces the rate-splitting branch and checks it against one pass
         x = make_deterministic(2)
         h_big = compound_poisson(400.0, x)
         direct = brute_force_compound(400.0, x.pmf.mass, len(h_big) - 1, n_max=700)
