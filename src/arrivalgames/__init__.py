@@ -56,7 +56,6 @@ from .solver import (
     InfeasibleResponseError,
     SolverConfig,
     best_response,
-    bisection_tail,
     iterated_best_response,
     solve_fr,
     verify_equilibrium,
@@ -98,7 +97,6 @@ __all__ = [
     "WorkloadProfile",
     "WorkloadStepper",
     "best_response",
-    "bisection_tail",
     "choose_slot",
     "classify",
     "compound_poisson",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dists import ServiceDist
 from .fluid import FluidEquilibrium
-from .workload import ArrivalStrategy
+from .workload import _strategy_probs
 
 
 def theta(x: float, c1: float, c2: float) -> float:
@@ -255,7 +255,7 @@ def _sample_arrival_times(
         grid = np.linspace(0.0, eq.horizon, 4096)
         cdf = np.concatenate(([0.0], eq.cdf(side, grid)))
         return np.interp(u, cdf, np.concatenate(([0.0], grid)))
-    probs = strategy.probs if isinstance(strategy, ArrivalStrategy) else np.asarray(strategy, float)
+    probs = _strategy_probs(strategy)
     probs = probs / probs.sum()
     slots = rng.choice(probs.size, size=size, p=probs)
     return slots * (horizon / probs.size)

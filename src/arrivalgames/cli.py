@@ -148,11 +148,13 @@ def _signal_params(scn: Scenario) -> SignalParams:
 def _solver_config(scn: Scenario) -> SolverConfig:
     if not scn.sections.has_section("solver"):
         return SolverConfig()
+    unknown = sorted(set(scn.sections.options("solver")) - {"eps", "delta", "max_outer"})
+    if unknown:
+        raise ScenarioError(f"unknown field(s) in [solver]: {', '.join(unknown)}")
     return SolverConfig(
         eps=scn.get("solver", "eps", float, SolverConfig.eps),
         delta=scn.get("solver", "delta", float, SolverConfig.delta),
         max_outer=scn.get("solver", "max_outer", int, SolverConfig.max_outer),
-        norm=scn.get("solver", "norm", str, SolverConfig.norm),
     )
 
 

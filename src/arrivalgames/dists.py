@@ -348,23 +348,17 @@ class _JumpLaw:
 
 
 def _add_compound(
-    v: np.ndarray,
-    tail: float,
-    lam: float,
-    jumps: Pmf,
-    tol: float = DEFAULT_TAIL_TOL,
-    length: int | None = None,
+    v: np.ndarray, tail: float, lam: float, jumps: Pmf
 ) -> tuple[np.ndarray, float]:
     """Law of V + S on plain arrays, for V with law ``v`` (missing at most
     ``tail`` of its mass) and S compound Poisson with rate ``lam`` and
     jump law ``jumps``, independent of V.
 
-    The window is the first ``length`` entries, or by default the shortest
-    one whose dropped mass and first moment are both within ``tol``.
-    Returns the window, without trailing zeros, and the bound on its
-    missing mass. Checks what a ``Pmf`` checks: finite, nonnegative up to
-    FFT round-off, mass at most one, and (by default) a deficit within the
-    returned bound.
+    The window is the shortest one whose dropped mass and first moment are
+    both within DEFAULT_TAIL_TOL. Returns the window, without trailing
+    zeros, and the bound on its missing mass. Checks what a ``Pmf``
+    checks: finite, nonnegative up to FFT round-off, mass at most one, and
+    a deficit within the returned bound.
     """
     if not math.isfinite(lam) or lam < 0.0:
         raise ValueError("compound rate must be finite and nonnegative")
@@ -372,21 +366,20 @@ def _add_compound(
         return v, tail
     law = jumps._as_jumps
     k = v.size
-    cut = law.cutoff(lam, k, tol)
-    if not k + cut <= _MAX_SUPPORT or (length is not None and length > _MAX_SUPPORT):
+    cut = law.cutoff(lam, k, DEFAULT_TAIL_TOL)
+    if not k + cut <= _MAX_SUPPORT:
         raise SupportBudgetError(
             f"compound-Poisson rate {lam!r} on a workload of {k} entries needs a "
             f"support past the budget of {_MAX_SUPPORT} entries"
         )
-    # Any window of at least `safe` entries drops only outcomes with S >= L.
-    safe = k + max(int(math.ceil(cut)), 1) - 1
-    m = safe if length is None else length
+    # A window of k - 1 + L entries drops only outcomes with S >= L.
+    m = k + max(int(math.ceil(cut)), 1) - 1
     if law.thin:
-        c = np.convolve(v, law.thinned(lam, max(m - k + 1, 1)))[:m]
+        c = np.convolve(v, law.thinned(lam, m - k + 1))[:m]
     else:
-        # Outcomes at or past n wrap onto the window; n >= safe keeps their
-        # mass and first moment within tol as well.
-        n = _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, max(m, safe))]
+        # Outcomes at or past n wrap onto the window; n >= m keeps their
+        # mass and first moment within the tolerance as well.
+        n = _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, m)]
         c = np.fft.irfft(np.fft.rfft(v, n) * np.exp(lam * law.spectrum(n)), n)[:m]
     total = float(c.sum())
     if not math.isfinite(total):
@@ -400,29 +393,22 @@ def _add_compound(
     c = _trim_trailing_zeros(c)
     if total > 1.0 + 1e-9:
         raise NumericFailure(f"compound-Poisson step produced total mass {total!r} > 1")
-    bound = tail + law.floor(lam) + tol
-    if length is None and 1.0 - total > bound + 1e-9:
+    bound = tail + law.floor(lam) + DEFAULT_TAIL_TOL
+    if 1.0 - total > bound + 1e-9:
         raise NumericFailure(
             f"compound-Poisson step lost mass {1.0 - total!r} past its bound {bound!r}"
         )
     return c, bound
 
 
-def compound_poisson(
-    lam: float,
-    jumps: ServiceDist | Pmf,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    k_max: int | None = None,
-) -> Pmf:
+def compound_poisson(lam: float, jumps: ServiceDist | Pmf) -> Pmf:
     """Law of a Poisson(lam)-indexed sum of iid positive jumps.
 
     The support ends where the dropped tail mass and first moment are both
-    within ``tail_tol``; passing ``k_max`` instead fixes the truncation
-    point.
+    within DEFAULT_TAIL_TOL.
     """
     x = jumps.pmf if isinstance(jumps, ServiceDist) else jumps
     if x.mass[0] != 0.0 or x.mass.size == 1:
         raise ValueError("jump law must put its mass on positive values")
-    length = None if k_max is None else int(k_max) + 1
-    c, _ = _add_compound(np.ones(1), 0.0, lam, x, tail_tol, length)
+    c, _ = _add_compound(np.ones(1), 0.0, lam, x)
     return Pmf(c)

@@ -3,11 +3,15 @@
 A symmetric (within type) equilibrium makes each type's expected wait
 constant across its arrival slots and no smaller elsewhere. The fixed
 point characterization gives, for a candidate equilibrium wait, the slot
-probabilities in closed form once the start slot and its atom are known;
-the solver searches the start slot, bisects on the atom until the filled
-vector carries unit mass, and alternates best responses between the two
-types until the pair stops moving. Any point the alternation converges
-to is an equilibrium, which `verify_equilibrium` checks independently.
+probabilities in closed form once the start slot and its atom are known.
+The solver scans the start slots in order; a slot qualifies when arriving
+there beats every earlier slot. A qualifying slot whose fill from a zero
+atom already carries more than unit mass is rejected after that one
+fill; at the first one that is not, the solver bisects on the atom until
+the filled vector carries unit mass. It alternates best responses
+between the two types until the pair stops moving in the sup norm. Any
+point the alternation converges to is an equilibrium, which
+`verify_equilibrium` checks independently.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .workload import (
     ArrivalStrategy,
     SlotGame,
     WorkloadStepper,
+    _strategy_probs,
     workload_profile,
 )
 
@@ -53,19 +58,16 @@ class SolverConfig:
     delta: float = 1e-5
     max_outer: int = 500
     max_bisect: int = 200
-    norm: str = "sup"
 
     def __post_init__(self):
         if self.eps <= 0.0 or self.delta <= 0.0:
             raise ValueError("eps and delta must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.norm not in ("sup", "l1"):
-            raise ValueError("norm must be 'sup' or 'l1'")
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        d = np.abs(x - y)
-        return float(d.max()) if self.norm == "sup" else float(d.sum())
+        """Sup-norm distance between two slot vectors."""
+        return float(np.abs(x - y).max())
 
     @property
     def verify_tol(self) -> float:
@@ -102,10 +104,6 @@ class EquilibriumReport:
         return self.max_support_spread <= tol and self.max_offsupport_violation <= tol
 
 
-def _probs(p) -> np.ndarray:
-    return p.probs if isinstance(p, ArrivalStrategy) else np.asarray(p, float)
-
-
 class _ResponseEngine:
     """Workload bookkeeping for one responding type against a fixed
     opponent profile.
@@ -115,7 +113,6 @@ class _ResponseEngine:
     """
 
     def __init__(self, game: SlotGame, belief: str, p_minus: np.ndarray):
-        self.game = game
         self.n = game.n_slots
         self.lam_own = game.own_lam(belief)
         self.chi = game.service(belief).chi
@@ -136,13 +133,14 @@ class _ResponseEngine:
     def own_zero_wait(self, t: int) -> float:
         return self.stepper.wait(self.prefix_state(t), self.other_load[t])
 
-    def fill(self, theta: int, atom: float, mass_cap: float):
+    def fill(self, theta: int, atom: float, mass_cap: float) -> tuple[np.ndarray, float]:
         """Fill slots after theta from the fixed-point formula.
 
         The candidate equilibrium wait is the wait at theta given the atom;
         each later slot receives whatever probability equalizes its wait,
-        clipped at zero. Stops early once total mass exceeds ``mass_cap``;
-        the returned flag says whether the fill ran to the horizon.
+        clipped at zero. Stops early once total mass exceeds ``mass_cap``,
+        so a returned mass at or below the cap means the fill ran to the
+        horizon.
         """
         p = np.zeros(self.n)
         p[theta] = atom
@@ -157,61 +155,52 @@ class _ResponseEngine:
             load = self.lam_own * p[t] + self.other_load[t]
             mass += p[t]
             if mass > mass_cap:
-                return p, mass, wbar, False
-        return p, mass, wbar, True
+                break
+        return p, mass
 
 
-def _bisect_tail(engine: _ResponseEngine, theta: int, eps: float, max_iter: int):
+def _bisect_tail(
+    engine: _ResponseEngine, theta: int, eps: float, max_iter: int
+) -> np.ndarray | None:
     """Bisection on the atom at the start slot until the filled strategy
     carries unit mass.
+
+    The zero atom is filled first: when it already carries more than unit
+    mass, no response starts at theta and the search returns None after
+    that one fill. Otherwise the atom is halved from 1/2 within [0, 1],
+    with the upper end's mass unknown until a trial overfills.
 
     Success requires the total within eps of one; internally the search
     pushes well past that (down to ``eps * 1e-4``) so that the response is
     a stable function of its inputs and the outer alternation does not
     rattle around inside the acceptance window.
-
-    Returns (p, inf) on success and (zeros, theta + 1) when even a zero
-    atom overfills, meaning no response can start at theta.
     """
     cap = 1.0 + eps
     target = min(eps * 1e-4, 1e-9)
-    a_lo, a_hi, a_mid = 0.0, 1.0, 0.5
-    _, m_lo, _, lo_full = engine.fill(theta, a_lo, cap)
-    p_mid, m_mid, _, mid_full = engine.fill(theta, a_mid, cap)
-    _, m_hi, _, hi_full = engine.fill(theta, a_hi, cap)
+    _, m_lo = engine.fill(theta, 0.0, cap)
+    if m_lo > 1.0:
+        return None
+    a_lo, a_mid, a_hi, m_hi = 0.0, 0.5, 1.0, math.inf
+    p_mid, m_mid = engine.fill(theta, a_mid, cap)
     for _ in range(max_iter):
         if abs(m_mid - 1.0) < target:
-            return p_mid, math.inf
-        if m_lo > 1.0:
-            return np.zeros(engine.n), theta + 1
-        if lo_full and mid_full and hi_full:
-            if not (m_lo <= m_mid + 1e-12 and m_mid <= m_hi + 1e-12):
-                engine.monotonicity_violations += 1
+            return p_mid
+        # The lower end always ran to the horizon (its mass is below one),
+        # and an upper end that stopped early holds more than the cap, so
+        # the masses are comparable whenever the mid fill ran to the horizon.
+        if m_mid <= cap and not (m_lo <= m_mid + 1e-12 and m_mid <= m_hi + 1e-12):
+            engine.monotonicity_violations += 1
         if m_mid < 1.0:
-            a_lo, m_lo, lo_full = a_mid, m_mid, mid_full
+            a_lo, m_lo = a_mid, m_mid
         else:
-            a_hi, m_hi, hi_full = a_mid, m_mid, mid_full
+            a_hi, m_hi = a_mid, m_mid
         if a_hi - a_lo < 1e-15:
             break
         a_mid = 0.5 * (a_lo + a_hi)
-        p_mid, m_mid, _, mid_full = engine.fill(theta, a_mid, cap)
-    if 1.0 - eps < m_mid < 1.0 + eps:
-        return p_mid, math.inf
+        p_mid, m_mid = engine.fill(theta, a_mid, cap)
+    if 1.0 - eps < m_mid < cap:
+        return p_mid
     raise NumericFailure(f"atom bisection at slot {theta} did not close on unit mass")
-
-
-def bisection_tail(
-    p_minus,
-    game: SlotGame,
-    belief: str,
-    theta: int,
-    eps: float,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, float]:
-    """Standalone bisection stage: with no own-type mass before ``theta``,
-    search the atom there; returns (strategy, inf) on success or
-    (zeros, theta + 1) when mass overshoots at a zero atom."""
-    return _bisect_tail(_ResponseEngine(game, belief, _probs(p_minus)), theta, eps, max_iter)
 
 
 def best_response(
@@ -229,7 +218,7 @@ def best_response(
     is accepted when the atom bisection closes on unit mass. The returned
     vector has total mass within eps of one.
     """
-    engine = _ResponseEngine(game, belief, _probs(p_minus))
+    engine = _ResponseEngine(game, belief, _strategy_probs(p_minus))
     if engine.lam_own == 0.0:
         # A vanishing population does not move the queue: its members all
         # pick the cheapest slot.
@@ -237,25 +226,19 @@ def best_response(
         p = np.zeros(engine.n)
         p[int(np.argmin(waits))] = 1.0
         return p
-    waits_seen: list[float] = []
-    theta = 0
-    while theta < engine.n:
-        while len(waits_seen) <= theta:
-            waits_seen.append(engine.own_zero_wait(len(waits_seen)))
-        w_start = waits_seen[theta]
-        w_min = min(waits_seen[:theta], default=math.inf)
+    w_min = math.inf
+    for theta in range(engine.n):
+        w_start = engine.own_zero_wait(theta)
         if w_start < w_min:
-            p, status = _bisect_tail(engine, theta, eps, max_bisect)
-            if status == math.inf:
+            w_min = w_start
+            p = _bisect_tail(engine, theta, eps, max_bisect)
+            if p is not None:
                 if stats is not None:
                     stats["monotonicity_violations"] = (
                         stats.get("monotonicity_violations", 0)
                         + engine.monotonicity_violations
                     )
                 return p
-            theta = int(status)
-        else:
-            theta += 1
     raise InfeasibleResponseError(f"no start slot admits a response for type {belief}")
 
 
@@ -266,7 +249,7 @@ def verify_equilibrium(game: SlotGame, p_a, p_b, tol: float) -> EquilibriumRepor
     report carries the within-support spread and the worst off-support
     improvement, and ``passes(tol)`` requires both below tol.
     """
-    pa, pb = _probs(p_a), _probs(p_b)
+    pa, pb = _strategy_probs(p_a), _strategy_probs(p_b)
     out = {}
     for belief, probs in (("a", pa), ("b", pb)):
         prof = workload_profile(game, pa, pb, belief, mass_tol=1e-3)

@@ -110,8 +110,13 @@ class ArrivalStrategy:
         return np.cumsum(self.probs)
 
 
+def _strategy_probs(p) -> np.ndarray:
+    """The slot vector of an ``ArrivalStrategy`` or of an array-like."""
+    return p.probs if isinstance(p, ArrivalStrategy) else np.asarray(p, dtype=float)
+
+
 def _as_probs(p, n_slots: int, mass_tol: float) -> np.ndarray:
-    arr = p.probs if isinstance(p, ArrivalStrategy) else np.asarray(p, dtype=float)
+    arr = _strategy_probs(p)
     if arr.shape != (n_slots,):
         raise InvalidStrategyError(f"strategy must have length {n_slots}")
     if np.any(arr < -1e-12) or not np.all(np.isfinite(arr)):

@@ -44,6 +44,19 @@ def test_tracer_wraps_and_restores(bench):
     assert workload.compound_poisson is dists.compound_poisson
 
 
+def test_worker_call_shapes():
+    # bench/worker.py calls best_response positionally and reads these
+    # config properties and report fields.
+    cfg = solver.SolverConfig()
+    game = SlotGame(2.0, 2.0, 2, 4, make_geometric(3), make_geometric(2))
+    _, sb, rep = solver.iterated_best_response(game, cfg)
+    p = solver.best_response(sb.probs, game, "a", cfg.eps, cfg.max_bisect)
+    assert abs(p.sum() - 1.0) < cfg.eps
+    assert cfg.stall_tol > cfg.verify_tol > 0.0
+    assert rep.stalled in (True, False)
+    assert rep.monotonicity_violations == 0
+
+
 def test_micro_cases_run(bench, monkeypatch):
     _, micro = bench
     monkeypatch.setattr(micro, "per_call_ms", lambda fn: (fn(), 0.0)[1])

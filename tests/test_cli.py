@@ -106,6 +106,12 @@ class TestScenarioParsing:
         scn = load_scenario(path, ["fluid.mu_b=4"])
         assert scn.get("fluid", "mu_b", float) == 4.0
 
+    def test_unknown_solver_field_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, BR_SCENARIO + "\n[solver]\neps = 1e-5\nnorm = l1\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert "norm" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_override_rejected(self, tmp_path):
         path = write(tmp_path, FLUID_SCENARIO)
         assert main(["run", str(path), "--out", str(tmp_path / "o"), "--override", "nonsense"]) == EXIT_PARSE

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrivalgames.dists import make_deterministic, make_geometric, make_geometric_mixture
 from arrivalgames.signals import SignalParams, posterior_views
 from arrivalgames.solver import (
     SolverConfig,
+    _bisect_tail,
+    _ResponseEngine,
     best_response,
-    bisection_tail,
     iterated_best_response,
     solve_fr,
     verify_equilibrium,
@@ -18,15 +21,17 @@ from arrivalgames.workload import ArrivalStrategy, SlotGame, workload_profile
 EPS = 1e-5
 
 
+FAMILIES = (
+    lambda chi: make_deterministic(max(1, int(round(chi)))),
+    make_geometric,
+    lambda chi: make_geometric_mixture(chi, 1.5 * math.sqrt(1 - 1 / chi) + 0.05),
+)
+
+
 def random_game(rng) -> SlotGame:
-    families = (
-        lambda chi: make_deterministic(max(1, int(round(chi)))),
-        make_geometric,
-        lambda chi: make_geometric_mixture(chi, 1.5 * math.sqrt(1 - 1 / chi) + 0.05),
-    )
     chi_b = rng.uniform(1.2, 3.0)
     chi_a = chi_b + rng.uniform(0.5, 3.0)
-    fam = families[rng.integers(0, 3)]
+    fam = FAMILIES[rng.integers(0, 3)]
     return SlotGame(
         lam_a=rng.uniform(0.2, 5.0),
         lam_b=rng.uniform(0.2, 5.0),
@@ -37,11 +42,65 @@ def random_game(rng) -> SlotGame:
     )
 
 
+@st.composite
+def game_and_opponent(draw):
+    """A small game drawn over the ranges of `random_game`, and an
+    opponent profile on the simplex. A heavy opening atom in the profile
+    makes some start slots overfill at a zero atom."""
+    chi_b = draw(st.floats(1.2, 3.0))
+    chi_a = chi_b + draw(st.floats(0.5, 3.0))
+    fam = FAMILIES[draw(st.integers(0, 2))]
+    n = draw(st.integers(2, 10))
+    g = SlotGame(
+        lam_a=draw(st.floats(0.2, 5.0)),
+        lam_b=draw(st.floats(0.2, 5.0)),
+        tau=draw(st.integers(1, 3)),
+        n_slots=n,
+        x_a=fam(chi_a),
+        x_b=fam(chi_b),
+    )
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    weights[0] += draw(st.floats(0.0, 20.0))
+    return g, weights / weights.sum()
+
+
+PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+
+class TestSolverProperties:
+    @PROPERTY
+    @given(case=game_and_opponent())
+    def test_response_mass_and_constant_wait(self, case):
+        g, minus = case
+        p = best_response(minus, g, "a", EPS)
+        assert 1.0 - EPS < p.sum() < 1.0 + EPS
+        prof = workload_profile(g, p, minus, "a", mass_tol=1e-3)
+        on = prof.w[p > 1e-8]
+        assert on.max() - on.min() <= 2 * EPS * g.x_a.chi
+
+    @PROPERTY
+    @given(case=game_and_opponent())
+    def test_rejection_exactly_when_zero_atom_overfills(self, case):
+        g, minus = case
+        for theta in range(g.n_slots):
+            engine = _ResponseEngine(g, "a", minus)
+            _, m_zero = engine.fill(theta, 0.0, 1.0 + EPS)
+            assert (_bisect_tail(engine, theta, EPS, 200) is None) == (m_zero > 1.0)
+
+    @PROPERTY
+    @given(case=game_and_opponent())
+    def test_fill_mass_monotone_in_atom(self, case):
+        g, minus = case
+        engine = _ResponseEngine(g, "a", minus)
+        for theta in range(g.n_slots):
+            masses = [engine.fill(theta, a, math.inf)[1] for a in np.linspace(0.0, 1.0, 9)]
+            assert np.all(np.diff(masses) >= -1e-12), (theta, masses)
+
+
 class TestBisection:
     def test_tiny_load_equalizes_waits(self):
         g = SlotGame(0.1, 0.0, 3, 2, make_deterministic(1), make_deterministic(1))
-        p, status = bisection_tail(np.zeros(2), g, "a", 0, EPS)
-        assert status == math.inf
+        p = _bisect_tail(_ResponseEngine(g, "a", np.zeros(2)), 0, EPS, 200)
         assert abs(p.sum() - 1.0) < EPS
         prof = workload_profile(g, p / p.sum(), ArrivalStrategy.uniform(2), "a")
         assert abs(prof.w[0] - prof.w[1]) <= 2 * EPS * g.x_a.chi
@@ -49,8 +108,7 @@ class TestBisection:
     def test_success_mass_window(self):
         g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
         minus = ArrivalStrategy.uniform(5).probs
-        p, status = bisection_tail(minus, g, "a", 0, EPS)
-        assert status == math.inf
+        p = _bisect_tail(_ResponseEngine(g, "a", minus), 0, EPS, 200)
         assert 1.0 - EPS < p.sum() < 1.0 + EPS
 
     def test_overshoot_moves_start(self):
@@ -59,9 +117,7 @@ class TestBisection:
         g = SlotGame(0.5, 12.5, 1, 60, make_deterministic(4), make_deterministic(2))
         minus = np.zeros(60)
         minus[0] = 1.0
-        p, status = bisection_tail(minus, g, "a", 0, EPS)
-        assert status == 1
-        assert np.all(p == 0.0)
+        assert _bisect_tail(_ResponseEngine(g, "a", minus), 0, EPS, 200) is None
 
 
 class TestBestResponse:
