@@ -2,14 +2,16 @@
 
 A finite pool of agents joins the queue on random days, each receiving a
 noisy signal about that day's server mode. Agents keep running-average
-waits per (signal, slot) pair and mix uniform exploration with picking
-the historically best slot, exploring less as they accumulate visits.
-The long-run averaged choice frequencies and waits are the objects
-compared against the equilibrium solutions.
+waits and visit counts per (signal, slot) pair, their only history, and
+mix uniform exploration with picking the historically best slot,
+exploring less as they accumulate visits. The long-run averaged choice
+frequencies and waits are the objects compared against the equilibrium
+solutions.
 
 Also provides the coupled-path workload dominance experiment: with job
 sizes built from shared uniforms, the slow-belief system pathwise
-dominates the fast-belief one.
+dominates the fast-belief one. Each path's workloads are the reflected
+net input in closed form, checked at all epochs at once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .dists import ServiceDist
 from .fluid import FluidEquilibrium
+from .signals import _check_pq
 from .workload import _strategy_probs
 
 
@@ -72,10 +75,7 @@ class AbmConfig:
             raise ValueError("mean daily arrivals cannot exceed the pool size")
         if self.days < 1:
             raise ValueError("need at least one day")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("mode probability p must lie in [0, 1]")
-        if not 0.5 < self.q <= 1.0:
-            raise ValueError("signal correctness q must lie in (1/2, 1]")
+        _check_pq(self.p, self.q)
         if self.c1 <= 0.0 or self.c2 <= 0.0:
             raise ValueError("sigmoid parameters must be positive")
         if int(self.tau) != self.tau or self.tau < 1 or self.n_slots < 1:
@@ -89,25 +89,20 @@ class AbmConfig:
 @dataclass
 class AgentState:
     """One agent's learning state: running-average waits and visit counts
-    per (belief, slot), plus arrival counts per belief."""
+    per (belief, slot). A row sum of ``visits`` is the agent's number of
+    arrivals under that belief."""
 
     wbar: np.ndarray
     visits: np.ndarray
-    arrivals_by_belief: np.ndarray
 
     @classmethod
     def fresh(cls, n_slots: int) -> "AgentState":
-        return cls(
-            wbar=np.zeros((2, n_slots)),
-            visits=np.zeros((2, n_slots), dtype=np.int64),
-            arrivals_by_belief=np.zeros(2, dtype=np.int64),
-        )
+        return cls(np.zeros((2, n_slots)), np.zeros((2, n_slots), dtype=np.int64))
 
     def record(self, belief_idx: int, slot: int, wait: float) -> None:
         self.visits[belief_idx, slot] += 1
         n = self.visits[belief_idx, slot]
         self.wbar[belief_idx, slot] += (wait - self.wbar[belief_idx, slot]) / n
-        self.arrivals_by_belief[belief_idx] += 1
 
 
 def choose_slot(
@@ -119,7 +114,7 @@ def choose_slot(
     Returns (slot, explored).
     """
     n_slots = agent.wbar.shape[1]
-    if rng.random() >= theta(int(agent.arrivals_by_belief[belief_idx]), c1, c2):
+    if rng.random() >= theta(int(agent.visits[belief_idx].sum()), c1, c2):
         return int(rng.integers(n_slots)), True
     row = agent.wbar[belief_idx]
     best = np.flatnonzero(row == row.min())
@@ -183,11 +178,10 @@ class AbmResult:
 
 
 def run_abm(cfg: AbmConfig) -> AbmResult:
-    """Simulate the learning dynamics for cfg.days days."""
+    """Simulate the learning dynamics for cfg.days days. An agent's choice
+    frequencies under a belief are its normalised visit counts."""
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_slots
-    agents = [AgentState.fresh(n) for _ in range(cfg.pool)]
-    choice_counts = np.zeros((cfg.pool, 2, n), dtype=np.int64)
+    agents = [AgentState.fresh(cfg.n_slots) for _ in range(cfg.pool)]
     explored = np.zeros(cfg.days, dtype=np.int64)
     decisions = np.zeros(cfg.days, dtype=np.int64)
     services = {0: cfg.x_a, 1: cfg.x_b}
@@ -207,32 +201,25 @@ def run_abm(cfg: AbmConfig) -> AbmResult:
         waits = simulate_day(arrivals, services[mode], cfg.tau, rng)
         for (k, slot), belief_idx, wait in zip(arrivals, beliefs, waits):
             agents[k].record(int(belief_idx), slot, float(wait))
-            choice_counts[k, belief_idx, slot] += 1
-    pbar = np.zeros((2, n))
-    freq_wait = np.zeros((2, n))
-    wbar_pop = np.zeros(2)
-    contributing = np.zeros(2, dtype=np.int64)
-    for i in range(2):
-        for k in range(cfg.pool):
-            total = choice_counts[k, i].sum()
-            if total == 0:
-                continue
-            freq = choice_counts[k, i] / total
-            pbar[i] += freq
-            freq_wait[i] += freq * agents[k].wbar[i]
-            contributing[i] += 1
-        if contributing[i]:
-            pbar[i] /= contributing[i]
-            freq_wait[i] /= contributing[i]
-            wbar_pop[i] = float(freq_wait[i].sum())
-    slot_mean = np.divide(
-        freq_wait, pbar, out=np.zeros_like(freq_wait), where=pbar > 0
-    )
+    visits = np.stack([a.visits for a in agents])
+    totals = visits.sum(axis=2, keepdims=True)
+    freq = np.divide(visits, totals, out=np.zeros(visits.shape), where=totals > 0)
+    contributing = np.count_nonzero(totals[..., 0], axis=0)
+    per_belief = np.maximum(contributing, 1)[:, None]
+    pbar = freq.sum(axis=0) / per_belief
+    freq_wait = (freq * np.stack([a.wbar for a in agents])).sum(axis=0) / per_belief
+    slot_mean = np.divide(freq_wait, pbar, out=np.zeros_like(freq_wait), where=pbar > 0)
+    wbar_pop = freq_wait.sum(axis=1)
     return AbmResult(pbar, wbar_pop, slot_mean, explored, decisions, cfg.days, contributing)
 
 
 @dataclass(frozen=True)
 class DominanceReport:
+    """Outcome of the coupled-path experiment. ``max_workload_gap`` is the
+    largest excess of the fast-belief system over the slow-belief one, in
+    workload or queue length, over every epoch of every path, so it does
+    not depend on the order in which the epochs are checked."""
+
     dominance_holds: bool
     paths_checked: int
     violating_paths: int
@@ -311,35 +298,26 @@ def coupled_dominance(
     return DominanceReport(violating == 0, n_paths, violating, max_gap)
 
 
-def _workload_path(times: np.ndarray, jobs: np.ndarray):
-    """Post-arrival workloads and departure instants for one sample path."""
-    v_after = np.empty(times.size)
-    departures = np.empty(times.size)
-    v = 0.0
-    prev = 0.0
-    for k in range(times.size):
-        v = max(0.0, v - (times[k] - prev))
-        departures[k] = times[k] + v + jobs[k]
-        v += jobs[k]
-        v_after[k] = v
-        prev = times[k]
-    return v_after, departures
+def _workload_path(times: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+    """Workloads just after each arrival of one sample path: the net input
+    (work brought minus time elapsed) reflected at zero, the closed form
+    of the Lindley recursion. Departure instants are ``times`` plus these
+    workloads."""
+    net = np.cumsum(jobs) - times
+    return net - np.minimum(0.0, np.minimum.accumulate(net - jobs))
 
 
 def _path_dominates(times, jobs_a, jobs_b) -> tuple[bool, float]:
-    va_after, dep_a = _workload_path(times, jobs_a)
-    vb_after, dep_b = _workload_path(times, jobs_b)
-    epochs = np.concatenate([times, dep_a, dep_b])
-    worst = 0.0
-    for e in epochs:
-        k = int(np.searchsorted(times, e, side="right")) - 1
-        if k < 0:
-            continue
-        va = max(0.0, va_after[k] - (e - times[k]))
-        vb = max(0.0, vb_after[k] - (e - times[k]))
-        qa = int(np.sum((times <= e) & (dep_a > e)))
-        qb = int(np.sum((times <= e) & (dep_b > e)))
-        worst = max(worst, vb - va, float(qb - qa))
-        if vb > va + 1e-9 or qb > qa:
-            return False, worst
-    return True, worst
+    """Whether V_a >= V_b and Q_a >= Q_b at every arrival and departure
+    epoch, and the largest excess of b over a there."""
+    v_after = np.stack([_workload_path(times, jobs_a), _workload_path(times, jobs_b)])
+    departures = times + v_after
+    epochs = np.concatenate([times, departures.ravel()])
+    # Every epoch is at or after the first arrival, so k >= 0.
+    k = np.searchsorted(times, epochs, side="right") - 1
+    v = np.maximum(0.0, v_after[:, k] - (epochs - times[k]))
+    # Q at an epoch: the customers who have arrived and not yet departed.
+    queue = ((times <= epochs[:, None]) & (departures[:, None] > epochs[:, None])).sum(axis=2)
+    worst = max(0.0, float((v[1] - v[0]).max()), float((queue[1] - queue[0]).max()))
+    ok = not (np.any(v[1] > v[0] + 1e-9) or np.any(queue[1] > queue[0]))
+    return ok, worst

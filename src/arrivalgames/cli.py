@@ -1,9 +1,14 @@
 """Scenario-driven command line front end.
 
 A scenario is an INI file with a ``[scenario]`` block naming the mode and
-parameter blocks for that mode. Results are written as CSV tables of
-arrival CDFs plus a key-value summary, atomically (temp file + rename),
-so a failed run leaves no partial outputs.
+parameter blocks for that mode. A mode reads only the fields it uses:
+of ``[game]``, only ``discrete_br`` reads ``lambda_a`` and ``lambda_b``
+(the other modes take the populations from ``[signal]``), and ``signal``
+reads neither ``tau`` nor ``slots``. Results are written as CSV tables
+of arrival CDFs plus a key-value summary, atomically (temp file +
+rename), so a failed run leaves no partial outputs. Each solve's summary
+lines include the gate it was accepted at (``tol``) and the verdict
+there (``passed``).
 
 Exit codes: 0 success, 2 scenario parse/validation error, 3 solver
 non-convergence (outputs still written), 4 invalid model parameters,
@@ -121,13 +126,19 @@ def _service(scn: Scenario, section: str, which: str) -> ServiceDist:
     raise ScenarioError(f"unknown service family {family!r}")
 
 
-def _slot_game(scn: Scenario) -> SlotGame:
+def _slots(scn: Scenario) -> tuple[int, int]:
+    """Slot length and slot count from [game]."""
     scn.require("game")
+    return scn.get("game", "tau", int), scn.get("game", "slots", int)
+
+
+def _slot_game(scn: Scenario) -> SlotGame:
+    tau, n_slots = _slots(scn)
     return SlotGame(
         lam_a=scn.get("game", "lambda_a", float),
         lam_b=scn.get("game", "lambda_b", float),
-        tau=scn.get("game", "tau", int),
-        n_slots=scn.get("game", "slots", int),
+        tau=tau,
+        n_slots=n_slots,
         x_a=_service(scn, "game", "a"),
         x_b=_service(scn, "game", "b"),
     )
@@ -183,6 +194,10 @@ def _report_pairs(prefix: str, rep) -> list[tuple[str, object]]:
         (f"{prefix}.converged", rep.converged),
         (f"{prefix}.max_support_spread", rep.max_support_spread),
         (f"{prefix}.max_offsupport_violation", rep.max_offsupport_violation),
+        (f"{prefix}.stalled", rep.stalled),
+        (f"{prefix}.monotonicity_violations", rep.monotonicity_violations),
+        (f"{prefix}.tol", rep.tol),
+        (f"{prefix}.passed", rep.passed),
     ]
 
 
@@ -201,12 +216,7 @@ def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
     eq = fluid_mod.solve_case(params, tag)
     grid_n = scn.get("fluid", "grid_n", int, 1001)
     check = fluid_mod.verify_fluid(params, eq, max(grid_n, 2))
-    grid = np.unique(
-        np.concatenate(
-            [np.linspace(0.0, params.horizon, grid_n)]
-            + [np.array([s.start, s.end]) for s in eq.segments_a + eq.segments_b]
-        )
-    )
+    grid = fluid_mod._verification_grid(eq, grid_n)
     outputs["cdf.csv"] = _csv_lines(
         ["time", "F_a", "F_b"], [grid, eq.cdf("a", grid), eq.cdf("b", grid)]
     )
@@ -226,8 +236,8 @@ def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
     return pairs, True
 
 
-def _slot_times(game: SlotGame) -> np.ndarray:
-    return np.arange(game.n_slots, dtype=float) * game.tau
+def _slot_times(tau: int, n_slots: int) -> np.ndarray:
+    return np.arange(n_slots, dtype=float) * tau
 
 
 def _run_discrete_br(scn: Scenario, outputs: dict) -> _Outcome:
@@ -235,19 +245,19 @@ def _run_discrete_br(scn: Scenario, outputs: dict) -> _Outcome:
     cfg = _solver_config(scn)
     pa, pb, rep = iterated_best_response(game, cfg)
     outputs["cdf.csv"] = _csv_lines(
-        ["time", "F_a", "F_b"], [_slot_times(game), pa.cdf(), pb.cdf()]
+        ["time", "F_a", "F_b"], [_slot_times(game.tau, game.n_slots), pa.cdf(), pb.cdf()]
     )
     return [("mode", "discrete_br")] + _report_pairs("br", rep), rep.converged
 
 
 def _run_discrete_fr(scn: Scenario, outputs: dict) -> _Outcome:
-    game = _slot_game(scn)
     sig = _signal_params(scn)
+    tau, n_slots = _slots(scn)
     cfg = _solver_config(scn)
-    pa, pb, (rep_a, rep_b) = solve_fr(sig, game.tau, game.n_slots, cfg)
+    pa, pb, (rep_a, rep_b) = solve_fr(sig, tau, n_slots, cfg)
     view_a, view_b = posterior_views(sig)
     outputs["cdf.csv"] = _csv_lines(
-        ["time", "F_a", "F_b"], [_slot_times(game), pa.cdf(), pb.cdf()]
+        ["time", "F_a", "F_b"], [_slot_times(tau, n_slots), pa.cdf(), pb.cdf()]
     )
     pairs = [
         ("mode", "discrete_fr"),
@@ -260,7 +270,7 @@ def _run_discrete_fr(scn: Scenario, outputs: dict) -> _Outcome:
     return pairs, rep_a.converged and rep_b.converged
 
 
-def _abm_config(scn: Scenario, game: SlotGame, sig: SignalParams, seed: int) -> abm_mod.AbmConfig:
+def _abm_config(scn: Scenario, sig: SignalParams, tau: int, n_slots: int) -> abm_mod.AbmConfig:
     scn.require("abm")
     return abm_mod.AbmConfig(
         pool=scn.get("abm", "pool", int),
@@ -268,23 +278,22 @@ def _abm_config(scn: Scenario, game: SlotGame, sig: SignalParams, seed: int) -> 
         days=scn.get("abm", "days", int),
         p=sig.p,
         q=sig.q,
-        x_a=game.x_a,
-        x_b=game.x_b,
-        tau=game.tau,
-        n_slots=game.n_slots,
+        x_a=sig.x_a,
+        x_b=sig.x_b,
+        tau=tau,
+        n_slots=n_slots,
         c1=scn.get("abm", "c1", float, 1.0),
         c2=scn.get("abm", "c2", float, 0.005),
-        seed=seed,
+        seed=scn.seed,
     )
 
 
 def _run_abm(scn: Scenario, outputs: dict) -> _Outcome:
-    game = _slot_game(scn)
     sig = _signal_params(scn)
-    cfg = _abm_config(scn, game, sig, scn.seed)
-    res = abm_mod.run_abm(cfg)
+    tau, n_slots = _slots(scn)
+    res = abm_mod.run_abm(_abm_config(scn, sig, tau, n_slots))
     outputs["cdf.csv"] = _csv_lines(
-        ["time", "F_a", "F_b"], [_slot_times(game), res.cdf("a"), res.cdf("b")]
+        ["time", "F_a", "F_b"], [_slot_times(tau, n_slots), res.cdf("a"), res.cdf("b")]
     )
     return [
         ("mode", "abm"),
@@ -299,16 +308,14 @@ def _run_abm(scn: Scenario, outputs: dict) -> _Outcome:
 def _run_compare(scn: Scenario, outputs: dict) -> _Outcome:
     """Bounded-rational, fully-rational and learning outcomes side by side."""
     sig = _signal_params(scn)
-    scn.require("game")
-    tau = scn.get("game", "tau", int)
-    n_slots = scn.get("game", "slots", int)
+    tau, n_slots = _slots(scn)
     cfg = _solver_config(scn)
     marg = signal_marginals(sig.p, sig.q)
     game_br = SlotGame(sig.lam * marg[0], sig.lam * marg[1], tau, n_slots, sig.x_a, sig.x_b)
     pa_br, pb_br, rep_br = iterated_best_response(game_br, cfg)
     pa_fr, pb_fr, (rep_fr_a, rep_fr_b) = solve_fr(sig, tau, n_slots, cfg)
-    res = abm_mod.run_abm(_abm_config(scn, game_br, sig, scn.seed))
-    times = _slot_times(game_br)
+    res = abm_mod.run_abm(_abm_config(scn, sig, tau, n_slots))
+    times = _slot_times(tau, n_slots)
     outputs["cdf_br.csv"] = _csv_lines(["time", "F_a", "F_b"], [times, pa_br.cdf(), pb_br.cdf()])
     outputs["cdf_fr.csv"] = _csv_lines(["time", "F_a", "F_b"], [times, pa_fr.cdf(), pb_fr.cdf()])
     outputs["cdf_abm.csv"] = _csv_lines(["time", "F_a", "F_b"], [times, res.cdf("a"), res.cdf("b")])

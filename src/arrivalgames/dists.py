@@ -133,11 +133,6 @@ class Pmf:
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.mass)
 
-    @cached_property
-    def _as_jumps(self) -> "_JumpLaw":
-        """This law as the jump law of the compound-Poisson kernel."""
-        return _JumpLaw(self)
-
 
 def moments(f: Pmf) -> tuple[float, float, float]:
     """Mean, variance and coefficient of variation on the truncated support."""
@@ -157,10 +152,12 @@ def convolve(f: Pmf, g: Pmf) -> Pmf:
 
 @dataclass(frozen=True, eq=False)
 class ServiceDist:
-    """Positive integer-valued service-time law.
+    """Positive integer-valued service-time law, and the one check of a
+    jump law of the compound-Poisson kernel.
 
     ``chi`` and ``cv`` are the analytic mean and coefficient of variation;
-    ``pmf`` is the (possibly truncated) mass function with pmf.mass[0] == 0.
+    ``pmf`` is the (possibly truncated) mass function with pmf.mass[0] == 0
+    and at most 1e-9 of its mass missing.
     """
 
     kind: str
@@ -173,6 +170,8 @@ class ServiceDist:
             raise ValueError("service mean must be positive")
         if self.pmf.mass[0] != 0.0:
             raise ValueError("service times must be positive integers")
+        if self.pmf.tail_bound > 1e-9:
+            raise ValueError(f"service pmf may miss mass {self.pmf.tail_bound!r}, past 1e-9")
         k = len(self.pmf) - 1
         tol = 10.0 * max(self.pmf.tail_bound, DEFAULT_TAIL_TOL) * max(k, 1)
         if abs(self.pmf.mean() - self.chi) > tol + 1e-9 * self.chi:
@@ -180,6 +179,11 @@ class ServiceDist:
 
     def second_moment(self) -> float:
         return (self.cv * self.chi) ** 2 + self.chi**2
+
+    @cached_property
+    def _as_jumps(self) -> "_JumpLaw":
+        """This law as the jump law of the compound-Poisson kernel."""
+        return _JumpLaw(self.pmf)
 
 
 def make_deterministic(chi) -> ServiceDist:
@@ -348,11 +352,11 @@ class _JumpLaw:
 
 
 def _add_compound(
-    v: np.ndarray, tail: float, lam: float, jumps: Pmf
+    v: np.ndarray, tail: float, lam: float, service: ServiceDist
 ) -> tuple[np.ndarray, float]:
     """Law of V + S on plain arrays, for V with law ``v`` (missing at most
     ``tail`` of its mass) and S compound Poisson with rate ``lam`` and
-    jump law ``jumps``, independent of V.
+    jump law ``service``, independent of V.
 
     The window is the shortest one whose dropped mass and first moment are
     both within DEFAULT_TAIL_TOL. Returns the window, without trailing
@@ -364,7 +368,7 @@ def _add_compound(
         raise ValueError("compound rate must be finite and nonnegative")
     if lam == 0.0:
         return v, tail
-    law = jumps._as_jumps
+    law = service._as_jumps
     k = v.size
     cut = law.cutoff(lam, k, DEFAULT_TAIL_TOL)
     if not k + cut <= _MAX_SUPPORT:
@@ -401,14 +405,11 @@ def _add_compound(
     return c, bound
 
 
-def compound_poisson(lam: float, jumps: ServiceDist | Pmf) -> Pmf:
-    """Law of a Poisson(lam)-indexed sum of iid positive jumps.
+def compound_poisson(lam: float, service: ServiceDist) -> Pmf:
+    """Law of a Poisson(lam)-indexed sum of iid jumps with law ``service``.
 
     The support ends where the dropped tail mass and first moment are both
     within DEFAULT_TAIL_TOL.
     """
-    x = jumps.pmf if isinstance(jumps, ServiceDist) else jumps
-    if x.mass[0] != 0.0 or x.mass.size == 1:
-        raise ValueError("jump law must put its mass on positive values")
-    c, _ = _add_compound(np.ones(1), 0.0, lam, x)
+    c, _ = _add_compound(np.ones(1), 0.0, lam, service)
     return Pmf(c)

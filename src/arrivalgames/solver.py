@@ -84,7 +84,10 @@ class EquilibriumReport:
 
     ``max_support_spread`` is the worst within-support wait spread over the
     two types; ``max_offsupport_violation`` the worst amount by which an
-    unused slot beats the equilibrium wait.
+    unused slot beats the equilibrium wait. ``tol`` is the gate the pair
+    was checked at and ``passed`` the verdict there; after a solve, the
+    gate is ``stall_tol`` when the alternation ended through the stall
+    test and ``verify_tol`` otherwise.
     """
 
     wbar_a: float
@@ -321,7 +324,7 @@ def iterated_best_response(
             delta_checkpoint = delta
     sa = ArrivalStrategy(pa).normalized()
     sb = ArrivalStrategy(pb).normalized()
-    report = verify_equilibrium(game, sa, sb, cfg.verify_tol)
+    report = verify_equilibrium(game, sa, sb, cfg.stall_tol if stalled else cfg.verify_tol)
     report.iterations = iterations
     report.converged = converged
     report.stalled = stalled

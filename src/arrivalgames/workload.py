@@ -11,6 +11,7 @@ own cohort's work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class SlotGame:
     x_b: ServiceDist
 
     def __post_init__(self):
-        if self.lam_a < 0.0 or self.lam_b < 0.0:
-            raise ValueError("population means must be nonnegative")
+        if not all(0.0 <= lam < math.inf for lam in (self.lam_a, self.lam_b)):
+            raise ValueError("population means must be finite and nonnegative")
         if int(self.tau) != self.tau or self.tau < 1:
             raise ValueError("slot length must be a positive integer")
         if int(self.n_slots) != self.n_slots or self.n_slots < 1:
@@ -182,7 +183,7 @@ class WorkloadStepper:
         return state.ev + 0.5 * load * self.service.chi
 
     def advance(self, state: SlotState, load: float) -> SlotState:
-        c, tail = _add_compound(state.v, state.tail, load, self.service.pmf)
+        c, tail = _add_compound(state.v, state.tail, load, self.service)
         tau = self.tau
         head = c[: min(tau, c.size)]
         idle_credit = float((tau - np.arange(head.size)) @ head)

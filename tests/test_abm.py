@@ -7,6 +7,8 @@ import pytest
 from arrivalgames.abm import (
     AbmConfig,
     AgentState,
+    _path_dominates,
+    _workload_path,
     choose_slot,
     coupled_dominance,
     run_abm,
@@ -74,14 +76,14 @@ class TestChooseSlot:
         rng = np.random.default_rng(1)
         agent = AgentState.fresh(6)
         agent.wbar[0] = np.array([5.0, 4.0, 3.0, 0.5, 4.0, 5.0])
-        agent.arrivals_by_belief[0] = 10**9
+        agent.visits[0, 0] = 10**9
         picks = [choose_slot(agent, 0, rng, 1.0, 0.005)[0] for _ in range(1000)]
         assert np.mean(np.array(picks) == 3) > 0.99
 
     def test_tie_break_uniform(self):
         rng = np.random.default_rng(2)
         agent = AgentState.fresh(5)
-        agent.arrivals_by_belief[1] = 10**9
+        agent.visits[1, 0] = 10**9
         counts = np.zeros(5)
         draws = 100_000
         for _ in range(draws):
@@ -191,6 +193,32 @@ class TestRunAbm:
         assert frac[-1] < frac[0]
 
 
+def lindley(times, jobs):
+    """Workloads just after each arrival by the Lindley recursion, the
+    reference for the closed form."""
+    out, v, prev = [], 0.0, 0.0
+    for t, j in zip(times, jobs):
+        v = max(0.0, v - (t - prev)) + j
+        out.append(v)
+        prev = t
+    return np.array(out)
+
+
+def dominates_by_epoch(times, jobs_a, jobs_b):
+    """One epoch at a time over every epoch, the reference for
+    `_path_dominates`."""
+    v = [lindley(times, jobs_a), lindley(times, jobs_b)]
+    dep = [times + x for x in v]
+    ok, worst = True, 0.0
+    for e in np.concatenate([times, *dep]):
+        k = int(np.searchsorted(times, e, side="right")) - 1
+        va, vb = (max(0.0, x[k] - (e - times[k])) for x in v)
+        qa, qb = (int(np.sum((times <= e) & (d > e))) for d in dep)
+        worst = max(worst, vb - va, float(qb - qa))
+        ok = ok and not (vb > va + 1e-9 or qb > qa)
+    return ok, worst
+
+
 class TestCoupledDominance:
     def test_dominance_holds_on_all_paths(self):
         rng = np.random.default_rng(12)
@@ -214,6 +242,36 @@ class TestCoupledDominance:
         f_b = np.full(20, 0.05)
         rep = coupled_dominance(3, 3, f_a, f_b, 0.25, 0.5, 60, 100, rng)
         assert rep.dominance_holds
+
+    def test_workload_path_is_the_lindley_recursion(self):
+        rng = np.random.default_rng(17)
+        times = np.sort(rng.uniform(0.0, 60.0, 40))
+        jobs = rng.exponential(2.0, 40)
+        assert np.max(np.abs(_workload_path(times, jobs) - lindley(times, jobs))) <= 1e-12
+
+    def test_path_check_matches_epoch_loop(self):
+        rng = np.random.default_rng(18)
+        verdicts = set()
+        for _ in range(200):
+            times = np.sort(rng.uniform(0.0, 60.0, rng.poisson(10) + 1))
+            jobs_b = rng.exponential(2.0, times.size)
+            jobs_a = 2.0 * jobs_b if rng.random() < 0.5 else rng.exponential(4.0, times.size)
+            ok, gap = _path_dominates(times, jobs_a, jobs_b)
+            want_ok, want_gap = dominates_by_epoch(times, jobs_a, jobs_b)
+            assert ok == want_ok and abs(gap - want_gap) <= 1e-9
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_hand_path(self):
+        # arrivals at 0 and 1; jobs of 2 in the slow system, 1 in the fast
+        # one: workloads after arrival 2, 3 and 1, 1, departures at 2, 4
+        # and 1, 2
+        times = np.array([0.0, 1.0])
+        slow, fast = np.array([2.0, 2.0]), np.array([1.0, 1.0])
+        assert _path_dominates(times, slow, fast) == (True, 0.0)
+        # swapped, the larger system is ahead by 2 in workload at t = 1
+        # and t = 2, and by one customer in queue at t = 1 and t = 2
+        assert _path_dominates(times, fast, slow) == (False, 2.0)
 
     def test_fluid_profile_stream(self):
         from arrivalgames.fluid import FluidParams, solve_case

@@ -193,6 +193,36 @@ chi_b = 2
         assert "fr_a.converged = True" in summary
 
 
+class TestGameFields:
+    # discrete_fr and abm read tau, slots and the service laws from
+    # [game]; the populations come from [signal].
+    @pytest.mark.parametrize("mode", ["discrete_fr", "abm"])
+    def test_mode_runs_without_game_populations(self, tmp_path, mode):
+        full = ABM_SCENARIO.replace("mode = abm", f"mode = {mode}")
+        bare = full.replace("lambda_a = 2\nlambda_b = 2\n", "")
+        assert "lambda_a" not in bare and "lambda_b" not in bare
+        outs = []
+        for name, text in (("full", full), ("bare", bare)):
+            path, out = write(tmp_path, text, f"{name}.ini"), tmp_path / name
+            assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+            outs.append(out)
+        for name in ("cdf.csv", "summary.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_summary_reports_acceptance_gate(self, tmp_path):
+        path = write(tmp_path, BR_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text().splitlines()
+        for line in (
+            "br.stalled = False",
+            "br.monotonicity_violations = 0",
+            "br.tol = 0.0005",
+            "br.passed = True",
+        ):
+            assert line in summary
+
+
 class TestDeterminism:
     def test_identical_seed_identical_bytes(self, tmp_path):
         path = write(tmp_path, ABM_SCENARIO)

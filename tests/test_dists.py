@@ -6,6 +6,7 @@ import pytest
 from arrivalgames.dists import (
     DEFAULT_TAIL_TOL,
     Pmf,
+    ServiceDist,
     compound_poisson,
     convolve,
     make_deterministic,
@@ -92,6 +93,18 @@ class TestServiceConstructors:
         z = mix_services(make_deterministic(4), make_deterministic(2), 0.9)
         assert z.chi == pytest.approx(3.8, abs=1e-15)
         assert z.pmf.mean() == pytest.approx(3.8, abs=1e-12)
+
+
+class TestServiceValidation:
+    # A defective law used to pass the mean check, which scales with the
+    # missing mass, and failed only inside a solve.
+    def test_rejects_pmf_missing_mass(self):
+        with pytest.raises(ValueError, match="miss mass"):
+            ServiceDist("x", 3.0, 0.0, Pmf(np.array([0.0, 0.5])))
+
+    def test_rejects_all_zero_pmf(self):
+        with pytest.raises(ValueError, match="miss mass"):
+            ServiceDist("x", 3.0, 0.0, Pmf(np.zeros(3)))
 
 
 class TestCompoundPoisson:

@@ -68,11 +68,11 @@ class TestAdvanceProperties:
 
 class TestPaths:
     def test_path_follows_atom_count(self):
-        assert make_deterministic(4).pmf._as_jumps.thin
+        assert make_deterministic(4)._as_jumps.thin
         two = mix_services(make_deterministic(4), make_deterministic(2), 0.5)
-        assert two.pmf._as_jumps.thin
-        assert not make_geometric(4).pmf._as_jumps.thin
-        assert not make_geometric_mixture(4, 1.74).pmf._as_jumps.thin
+        assert two._as_jumps.thin
+        assert not make_geometric(4)._as_jumps.thin
+        assert not make_geometric_mixture(4, 1.74)._as_jumps.thin
 
 
 class TestBudget:

@@ -43,22 +43,28 @@ def random_game(rng) -> SlotGame:
 
 
 @st.composite
-def game_and_opponent(draw):
-    """A small game drawn over the ranges of `random_game`, and an
-    opponent profile on the simplex. A heavy opening atom in the profile
-    makes some start slots overfill at a zero atom."""
+def small_game(draw, max_slots=10):
+    """A small game drawn over the ranges of `random_game`."""
     chi_b = draw(st.floats(1.2, 3.0))
     chi_a = chi_b + draw(st.floats(0.5, 3.0))
     fam = FAMILIES[draw(st.integers(0, 2))]
-    n = draw(st.integers(2, 10))
-    g = SlotGame(
+    return SlotGame(
         lam_a=draw(st.floats(0.2, 5.0)),
         lam_b=draw(st.floats(0.2, 5.0)),
         tau=draw(st.integers(1, 3)),
-        n_slots=n,
+        n_slots=draw(st.integers(2, max_slots)),
         x_a=fam(chi_a),
         x_b=fam(chi_b),
     )
+
+
+@st.composite
+def game_and_opponent(draw):
+    """A small game and an opponent profile on the simplex. A heavy
+    opening atom in the profile makes some start slots overfill at a zero
+    atom."""
+    g = draw(small_game())
+    n = g.n_slots
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     weights[0] += draw(st.floats(0.0, 20.0))
     return g, weights / weights.sum()
@@ -95,6 +101,16 @@ class TestSolverProperties:
         for theta in range(g.n_slots):
             masses = [engine.fill(theta, a, math.inf)[1] for a in np.linspace(0.0, 1.0, 9)]
             assert np.all(np.diff(masses) >= -1e-12), (theta, masses)
+
+
+    @PROPERTY
+    @given(g=small_game(max_slots=6))
+    def test_converged_solve_passes_at_its_gate(self, g):
+        cfg = SolverConfig(max_outer=60)
+        _, _, rep = iterated_best_response(g, cfg)
+        assert rep.tol == (cfg.stall_tol if rep.stalled else cfg.verify_tol)
+        if rep.converged:
+            assert rep.passed
 
 
 class TestBisection:
@@ -181,6 +197,24 @@ class TestIteratedBestResponse:
         pa, pb, _ = iterated_best_response(g, SolverConfig())
         assert pa.total == pytest.approx(1.0, abs=1e-12)
         assert pb.total == pytest.approx(1.0, abs=1e-12)
+
+    def test_report_gate_is_verify_tol(self):
+        cfg = SolverConfig()
+        g = SlotGame(2.0, 2.0, 2, 4, make_geometric(3), make_geometric(2))
+        _, _, rep = iterated_best_response(g, cfg)
+        assert rep.converged and not rep.stalled
+        assert rep.tol == cfg.verify_tol and rep.passed
+
+    def test_report_gate_is_stall_tol_after_a_stall(self):
+        # a game whose alternation drifts and ends through the stall test
+        cfg = SolverConfig()
+        g = SlotGame(
+            0.46043044880251627, 0.23710764490245248, 2, 10,
+            make_deterministic(2), make_deterministic(1),
+        )
+        _, _, rep = iterated_best_response(g, cfg)
+        assert rep.converged and rep.stalled and rep.iterations == 50
+        assert rep.tol == cfg.stall_tol and rep.passed
 
     @pytest.mark.xfail(
         strict=True,

@@ -1,0 +1,20 @@
+"""Checks on the library's source tree."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_no_assert_statements_in_src():
+    # `python -O` strips assert statements, so the library's invariants
+    # raise typed errors instead.
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -25,6 +25,15 @@ def sample_pmf(pmf: Pmf, size: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(len(pmf), size=size, p=pmf.mass / pmf.total)
 
 
+class TestSlotGame:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_population(self, lam):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SlotGame(lam, 1.0, 1, 2, make_geometric(3), make_geometric(2))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SlotGame(1.0, lam, 1, 2, make_geometric(3), make_geometric(2))
+
+
 class TestStepPmf:
     def test_empty_system_stays_empty(self):
         out = step_pmf(Pmf.point_mass(0), Pmf.point_mass(0), 3)
