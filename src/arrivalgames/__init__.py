@@ -53,7 +53,6 @@ from .signals import (
 )
 from .solver import (
     EquilibriumReport,
-    InfeasibleResponseError,
     SolverConfig,
     best_response,
     iterated_best_response,
@@ -66,8 +65,6 @@ from .workload import (
     SlotGame,
     WorkloadProfile,
     WorkloadStepper,
-    expected_wait,
-    step_pmf,
     workload_profile,
 )
 
@@ -82,7 +79,6 @@ __all__ = [
     "FluidCheck",
     "FluidEquilibrium",
     "FluidParams",
-    "InfeasibleResponseError",
     "InvalidCaseError",
     "InvalidStrategyError",
     "NumericFailure",
@@ -103,7 +99,6 @@ __all__ = [
     "conditional_split",
     "convolve",
     "coupled_dominance",
-    "expected_wait",
     "iterated_best_response",
     "make_deterministic",
     "make_geometric",
@@ -116,7 +111,6 @@ __all__ = [
     "simulate_day",
     "solve_case",
     "solve_fr",
-    "step_pmf",
     "thresholds",
     "verify_equilibrium",
     "verify_fluid",

@@ -12,8 +12,9 @@ there (``passed``).
 
 Exit codes: 0 success, 2 scenario parse/validation error, 3 solver
 non-convergence (outputs still written), 4 invalid model parameters,
-including a model past the workload kernel's support budget (no outputs
-written), 5 numerical failure of the solver (no outputs written).
+including a NaN or infinite population, a fluid ``grid_n`` below 2 and a
+model past the workload kernel's support budget (no outputs written), 5
+numerical failure of the solver (no outputs written).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from . import fluid as fluid_mod
 from .dists import ServiceDist, make_deterministic, make_geometric, make_geometric_mixture
 from .signals import SignalParams, posterior_views, signal_marginals
 from .solver import (
-    InfeasibleResponseError,
     NumericFailure,
     SolverConfig,
     iterated_best_response,
@@ -215,7 +215,7 @@ def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
     tag = tags[0] if wanted == "auto" else wanted
     eq = fluid_mod.solve_case(params, tag)
     grid_n = scn.get("fluid", "grid_n", int, 1001)
-    check = fluid_mod.verify_fluid(params, eq, max(grid_n, 2))
+    check = fluid_mod.verify_fluid(params, eq, grid_n)
     grid = fluid_mod._verification_grid(eq, grid_n)
     outputs["cdf.csv"] = _csv_lines(
         ["time", "F_a", "F_b"], [grid, eq.cdf("a", grid), eq.cdf("b", grid)]
@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
-    except (NumericFailure, InfeasibleResponseError) as exc:
+    except NumericFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
 

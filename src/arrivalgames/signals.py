@@ -9,6 +9,7 @@ and over the effective service-time law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dists import ServiceDist, mix_services
@@ -35,8 +36,8 @@ class SignalParams:
     x_b: ServiceDist
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("population mean must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("population mean must be finite and nonnegative")
         _check_pq(self.p, self.q)
         if not self.x_a.chi > self.x_b.chi:
             raise ValueError("slow-mode mean service time must exceed fast-mode")

@@ -2,16 +2,14 @@
 
 A symmetric (within type) equilibrium makes each type's expected wait
 constant across its arrival slots and no smaller elsewhere. The fixed
-point characterization gives, for a candidate equilibrium wait, the slot
-probabilities in closed form once the start slot and its atom are known.
-The solver scans the start slots in order; a slot qualifies when arriving
-there beats every earlier slot. A qualifying slot whose fill from a zero
-atom already carries more than unit mass is rejected after that one
-fill; at the first one that is not, the solver bisects on the atom until
-the filled vector carries unit mass. It alternates best responses
-between the two types until the pair stops moving in the sup norm. Any
-point the alternation converges to is an equilibrium, which
-`verify_equilibrium` checks independently.
+point characterization gives the slot probabilities in closed form from
+a candidate equilibrium wait w̄: each slot receives whatever probability
+brings its wait up to w̄, clipped at zero. A best response is one
+safeguarded secant search for the w̄ whose fill carries unit mass,
+warm-started at the previous w̄ of the outer alternation. The solver
+alternates best responses between the two types until the pair stops
+moving in the sup norm. Any point the alternation converges to is an
+equilibrium, which `verify_equilibrium` checks independently.
 """
 
 from __future__ import annotations
@@ -39,10 +37,6 @@ _VERIFY_SCALE = 50.0
 _STALL_SCALE = 200.0
 
 
-class InfeasibleResponseError(RuntimeError):
-    """No start slot admits a valid best-response distribution."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and caps for the best-response solver.
@@ -52,6 +46,9 @@ class SolverConfig:
     ``verify_tol`` is the reported verification tolerance (50 eps);
     ``stall_tol`` is the looser gate at which a stalled alternation is
     accepted (200 eps), so converged output always verifies at stall_tol.
+    ``max_bisect`` caps the fills (bracket doublings and steps) of each
+    best response's search on w̄; past it the search raises
+    ``NumericFailure``.
     """
 
     eps: float = 1e-5
@@ -111,8 +108,8 @@ class _ResponseEngine:
     """Workload bookkeeping for one responding type against a fixed
     opponent profile.
 
-    Keeps the own-mass-zero prefix states cached so the start-slot scan
-    and every bisection trial replay only the slots they change.
+    Keeps the own-mass-zero prefix states cached, so every fill replays
+    only the slots from its first slot with mass on.
     """
 
     def __init__(self, game: SlotGame, belief: str, p_minus: np.ndarray):
@@ -136,23 +133,25 @@ class _ResponseEngine:
     def own_zero_wait(self, t: int) -> float:
         return self.stepper.wait(self.prefix_state(t), self.other_load[t])
 
-    def fill(self, theta: int, atom: float, mass_cap: float) -> tuple[np.ndarray, float]:
-        """Fill slots after theta from the fixed-point formula.
+    def fill(self, wbar: float, mass_cap: float) -> tuple[np.ndarray, float]:
+        """Fill every slot from the fixed-point formula at equilibrium wait wbar.
 
-        The candidate equilibrium wait is the wait at theta given the atom;
-        each later slot receives whatever probability equalizes its wait,
-        clipped at zero. Stops early once total mass exceeds ``mass_cap``,
-        so a returned mass at or below the cap means the fill ran to the
-        horizon.
+        Each slot receives whatever probability brings its wait up to
+        wbar, clipped at zero; slots before the first one whose own-zero
+        wait is below wbar stay empty, so the fill starts there from the
+        cached prefix state. Stops early once total mass exceeds
+        ``mass_cap``, so a returned mass at or below the cap means the fill
+        ran to the horizon.
         """
         p = np.zeros(self.n)
-        p[theta] = atom
+        mass = 0.0
+        theta = next((t for t in range(self.n) if self.own_zero_wait(t) < wbar), self.n)
+        if theta == self.n:
+            return p, mass
         state = self.prefix_state(theta)
-        load = self.lam_own * atom + self.other_load[theta]
-        wbar = self.stepper.wait(state, load)
-        mass = atom
-        for t in range(theta + 1, self.n):
-            state = self.stepper.advance(state, load)
+        for t in range(theta, self.n):
+            if t > theta:
+                state = self.stepper.advance(state, load)
             raw = (2.0 / self.chi) * (wbar - state.ev) - self.other_load[t]
             p[t] = max(0.0, raw / self.lam_own)
             load = self.lam_own * p[t] + self.other_load[t]
@@ -162,48 +161,68 @@ class _ResponseEngine:
         return p, mass
 
 
-def _bisect_tail(
-    engine: _ResponseEngine, theta: int, eps: float, max_iter: int
-) -> np.ndarray | None:
-    """Bisection on the atom at the start slot until the filled strategy
-    carries unit mass.
+def _search_wbar(
+    engine: _ResponseEngine, eps: float, max_fills: int, guess: float | None
+) -> tuple[np.ndarray, float]:
+    """Search the equilibrium wait w̄ whose fill carries unit mass; return
+    the fill and w̄.
 
-    The zero atom is filled first: when it already carries more than unit
-    mass, no response starts at theta and the search returns None after
-    that one fill. Otherwise the atom is halved from 1/2 within [0, 1],
-    with the upper end's mass unknown until a trial overfills.
-
-    Success requires the total within eps of one; internally the search
-    pushes well past that (down to ``eps * 1e-4``) so that the response is
-    a stable function of its inputs and the outer alternation does not
-    rattle around inside the acceptance window.
+    The mass is zero up to the smallest own-zero wait and grows without
+    bound above it, so a bracket always closes. A ``guess`` (the previous
+    w̄ of an outer alternation) is tried at w̄(1 ± 1e-6) first. Failing a
+    bracket, its lower end is the smallest own-zero wait, and the upper
+    end starts chi*lam/2 above the lower end and doubles that increment
+    until a fill overfills. Each step is the secant through the last two
+    fills that ran to the horizon (an early-stopped fill only bounds the
+    mass), or a bisection when that leaves the bracket or the bracket has
+    not halved in three steps. The search stops at a mass within
+    ``eps * 1e-4`` of one, well inside the acceptance window, so that the
+    response is a stable function of its inputs. After ``max_fills``
+    fills, or once the bracket closes to float resolution, it accepts a
+    mass within eps of one or raises ``NumericFailure``.
     """
-    cap = 1.0 + eps
-    target = min(eps * 1e-4, 1e-9)
-    _, m_lo = engine.fill(theta, 0.0, cap)
-    if m_lo > 1.0:
-        return None
-    a_lo, a_mid, a_hi, m_hi = 0.0, 0.5, 1.0, math.inf
-    p_mid, m_mid = engine.fill(theta, a_mid, cap)
-    for _ in range(max_iter):
-        if abs(m_mid - 1.0) < target:
-            return p_mid
-        # The lower end always ran to the horizon (its mass is below one),
-        # and an upper end that stopped early holds more than the cap, so
-        # the masses are comparable whenever the mid fill ran to the horizon.
-        if m_mid <= cap and not (m_lo <= m_mid + 1e-12 and m_mid <= m_hi + 1e-12):
-            engine.monotonicity_violations += 1
-        if m_mid < 1.0:
-            a_lo, m_lo = a_mid, m_mid
+    cap, target = 1.0 + eps, min(eps * 1e-4, 1e-9)
+    lo, m_lo, hi, m_hi = -math.inf, 0.0, math.inf, math.inf
+    recent: list[tuple[float, float]] = []  # the last two fills that ran to the horizon
+    warm = [] if guess is None else [guess * (1.0 + 1e-6), guess * (1.0 - 1e-6)]
+    step, width, stale = 0.5 * engine.chi * engine.lam_own, math.inf, 0
+    p, w, m = None, math.nan, math.nan
+    for _ in range(max_fills):
+        if warm and hi == math.inf:
+            w = warm.pop()
+        elif lo == -math.inf:
+            w = min(engine.own_zero_wait(t) for t in range(engine.n))
+        elif hi == math.inf:
+            w, step = lo + step, 2.0 * step
         else:
-            a_hi, m_hi = a_mid, m_mid
-        if a_hi - a_lo < 1e-15:
-            break
-        a_mid = 0.5 * (a_lo + a_hi)
-        p_mid, m_mid = engine.fill(theta, a_mid, cap)
-    if 1.0 - eps < m_mid < cap:
-        return p_mid
-    raise NumericFailure(f"atom bisection at slot {theta} did not close on unit mass")
+            if hi - lo <= 0.5 * width:
+                width, stale = hi - lo, 0
+            else:
+                stale += 1
+            w = 0.5 * (lo + hi)
+            if stale < 3 and len(recent) == 2 and recent[0][1] != recent[1][1]:
+                (w1, m1), (w2, m2) = recent
+                secant = w2 + (1.0 - m2) * (w2 - w1) / (m2 - m1)
+                if lo < secant < hi:
+                    w = secant
+            if not lo < w < hi:
+                break
+        p, m = engine.fill(w, cap)
+        if m <= cap:
+            # Every fill lies inside the bracket, and an upper end that
+            # stopped early holds more than the cap: the masses compare.
+            if not (m_lo <= m + 1e-12 and m <= m_hi + 1e-12):
+                engine.monotonicity_violations += 1
+            recent = recent[-1:] + [(w, m)]
+        if abs(m - 1.0) < target:
+            return p, w
+        if m < 1.0:
+            lo, m_lo = w, m
+        else:
+            hi, m_hi = w, m
+    if 1.0 - eps < m < cap:
+        return p, w
+    raise NumericFailure(f"search on the equilibrium wait did not close on unit mass (mass {m!r})")
 
 
 def best_response(
@@ -216,10 +235,12 @@ def best_response(
 ) -> np.ndarray:
     """Symmetric best response of one type to the other type's profile.
 
-    Scans candidate start slots in order; a slot qualifies when arriving
-    there (with no own-type mass anywhere) beats every earlier slot, and
-    is accepted when the atom bisection closes on unit mass. The returned
-    vector has total mass within eps of one.
+    Searches the equilibrium wait w̄ at which the fixed-point fill carries
+    unit mass; the returned vector has total mass within eps of one.
+    ``max_bisect`` caps the fills of the search.
+    ``stats``, when given, accumulates the monotonicity violations and
+    carries this type's last w̄ (key ``"wbar_<belief>"``) from one call to
+    the next as the search's first guess.
     """
     engine = _ResponseEngine(game, belief, _strategy_probs(p_minus))
     if engine.lam_own == 0.0:
@@ -229,20 +250,14 @@ def best_response(
         p = np.zeros(engine.n)
         p[int(np.argmin(waits))] = 1.0
         return p
-    w_min = math.inf
-    for theta in range(engine.n):
-        w_start = engine.own_zero_wait(theta)
-        if w_start < w_min:
-            w_min = w_start
-            p = _bisect_tail(engine, theta, eps, max_bisect)
-            if p is not None:
-                if stats is not None:
-                    stats["monotonicity_violations"] = (
-                        stats.get("monotonicity_violations", 0)
-                        + engine.monotonicity_violations
-                    )
-                return p
-    raise InfeasibleResponseError(f"no start slot admits a response for type {belief}")
+    if stats is None:
+        stats = {}
+    key = f"wbar_{belief}"
+    p, stats[key] = _search_wbar(engine, eps, max_bisect, stats.get(key))
+    stats["monotonicity_violations"] = (
+        stats.get("monotonicity_violations", 0) + engine.monotonicity_violations
+    )
+    return p
 
 
 def verify_equilibrium(game: SlotGame, p_a, p_b, tol: float) -> EquilibriumReport:
@@ -296,6 +311,7 @@ def iterated_best_response(
     pa = np.zeros(n)
     pa[0] = 1.0
     pb = pa.copy()
+    # This solve's own: it carries each type's last w̄ into its next response.
     stats: dict = {}
     converged = False
     stalled = False

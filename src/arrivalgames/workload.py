@@ -22,9 +22,10 @@ from .dists import (
     Pmf,
     ServiceDist,
     _add_compound,
-    compound_poisson,  # kept in this namespace: bench/tracer.py wraps it here
-    convolve,
 )
+# Unused here: bench/tracer.py wraps both names in this namespace, and
+# tests/test_bench_hooks.py checks that they stay importable from it.
+from .dists import compound_poisson, convolve  # noqa: F401
 
 _DELTA0 = np.ones(1)
 _DELTA0.flags.writeable = False
@@ -137,14 +138,6 @@ def _collapse_shift(c: np.ndarray, tau: int) -> np.ndarray:
     return np.concatenate(([float(c[: tau + 1].sum())], c[tau + 1 :]))
 
 
-def step_pmf(v: Pmf, h: Pmf, tau: int) -> Pmf:
-    """One-slot update: add the arriving work, then drain tau units."""
-    if int(tau) != tau or tau < 1:
-        raise ValueError("slot length must be a positive integer")
-    c = convolve(v, h)
-    return Pmf(_collapse_shift(c.mass, tau), c.tail_bound)
-
-
 @dataclass(frozen=True)
 class SlotState:
     """Workload law just before a slot, as a plain array, with the carried
@@ -243,10 +236,3 @@ def workload_profile(
         if t + 1 < game.n_slots:
             state = stepper.advance(state, loads[t])
     return WorkloadProfile(belief, tuple(vs), np.array(evs), np.array(tels), np.array(ws))
-
-
-def expected_wait(game: SlotGame, p_a, p_b, belief: str, t: int) -> float:
-    """Expected waiting time of an arrival choosing slot t under ``belief``."""
-    if not 0 <= t < game.n_slots:
-        raise ValueError("slot index out of range")
-    return float(workload_profile(game, p_a, p_b, belief).w[t])

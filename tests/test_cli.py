@@ -39,6 +39,21 @@ chi_a = 4
 chi_b = 2
 """
 
+SIGNAL_SCENARIO = """
+[scenario]
+mode = signal
+
+[signal]
+lambda = 10
+p = 0.5
+q = 0.9
+
+[game]
+service = deterministic
+chi_a = 4
+chi_b = 2
+"""
+
 ABM_SCENARIO = """
 [scenario]
 mode = abm
@@ -99,6 +114,21 @@ class TestScenarioParsing:
         bad = BR_SCENARIO.replace("chi_a = 4", "chi_a = 0.5")
         path = write(tmp_path, bad)
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVALID_PARAMS
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_signal_population_must_be_finite(self, tmp_path, capsys, lam):
+        text = SIGNAL_SCENARIO.replace("lambda = 10", f"lambda = {lam}")
+        path = write(tmp_path, text)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVALID_PARAMS
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("grid_n", [0, 1])
+    def test_fluid_grid_needs_two_points(self, tmp_path, capsys, grid_n):
+        path = write(tmp_path, FLUID_SCENARIO.replace("grid_n = 21", f"grid_n = {grid_n}"))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVALID_PARAMS
+        assert "grid_n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_override_applies(self, tmp_path):
@@ -256,7 +286,7 @@ class TestNonConvergence:
 
 class TestNumericFailure:
     def test_exit_code_and_no_outputs(self, tmp_path, capsys):
-        # no atom closes the strategy mass on one within eps = 1e-300
+        # no equilibrium wait closes the strategy mass on one within eps = 1e-300
         path = write(tmp_path, BR_SCENARIO + "\n[solver]\neps = 1e-300\nmax_outer = 1\n")
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == EXIT_NUMERIC_FAILURE

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrivalgames.dists import make_deterministic, make_geometric, make_geometric_mixture
+from arrivalgames.dists import (
+    NumericFailure,
+    make_deterministic,
+    make_geometric,
+    make_geometric_mixture,
+)
 from arrivalgames.signals import SignalParams, posterior_views
 from arrivalgames.solver import (
     SolverConfig,
-    _bisect_tail,
     _ResponseEngine,
+    _search_wbar,
     best_response,
     iterated_best_response,
     solve_fr,
@@ -73,6 +78,53 @@ def game_and_opponent(draw):
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
 
 
+def scan_and_bisect(g: SlotGame, belief: str, minus, eps: float) -> np.ndarray:
+    """The best response by the search the w̄ search replaced, kept as its
+    oracle: scan the start slots in order; a slot qualifies when its
+    own-zero wait beats every earlier slot's, is rejected when its fill
+    from a zero atom carries more than unit mass, and otherwise takes the
+    atom that bisection on [0, 1] closes on unit mass."""
+    engine = _ResponseEngine(g, belief, minus)
+    lam, chi, other = engine.lam_own, engine.chi, engine.other_load
+    cap, target = 1.0 + eps, min(eps * 1e-4, 1e-9)
+
+    def fill(theta, atom):
+        p = np.zeros(g.n_slots)
+        p[theta] = atom
+        state = engine.prefix_state(theta)
+        load = lam * atom + other[theta]
+        wbar = engine.stepper.wait(state, load)
+        mass = atom
+        for t in range(theta + 1, g.n_slots):
+            state = engine.stepper.advance(state, load)
+            p[t] = max(0.0, ((2.0 / chi) * (wbar - state.ev) - other[t]) / lam)
+            load = lam * p[t] + other[t]
+            mass += p[t]
+            if mass > cap:
+                break
+        return p, mass
+
+    w_min = math.inf
+    for theta in range(g.n_slots):
+        if engine.own_zero_wait(theta) >= w_min:
+            continue
+        w_min = engine.own_zero_wait(theta)
+        if fill(theta, 0.0)[1] > 1.0:
+            continue
+        a_lo, a_hi, a_mid = 0.0, 1.0, 0.5
+        for _ in range(200):
+            p, mass = fill(theta, a_mid)
+            if abs(mass - 1.0) < target or a_hi - a_lo < 1e-15:
+                return p
+            if mass < 1.0:
+                a_lo = a_mid
+            else:
+                a_hi = a_mid
+            a_mid = 0.5 * (a_lo + a_hi)
+        return p
+    raise AssertionError("no start slot admits a response")
+
+
 class TestSolverProperties:
     @PROPERTY
     @given(case=game_and_opponent())
@@ -86,21 +138,48 @@ class TestSolverProperties:
 
     @PROPERTY
     @given(case=game_and_opponent())
-    def test_rejection_exactly_when_zero_atom_overfills(self, case):
+    def test_response_matches_scan_and_bisect(self, case):
+        # cold, and warm-started from guesses below, at and above the root
         g, minus = case
-        for theta in range(g.n_slots):
-            engine = _ResponseEngine(g, "a", minus)
-            _, m_zero = engine.fill(theta, 0.0, 1.0 + EPS)
-            assert (_bisect_tail(engine, theta, EPS, 200) is None) == (m_zero > 1.0)
+        for belief in ("a", "b"):
+            want = scan_and_bisect(g, belief, minus, EPS)
+            stats = {}
+            got = best_response(minus, g, belief, EPS, 200, stats)
+            assert np.max(np.abs(got - want)) <= 1e-8, belief
+            root = stats[f"wbar_{belief}"]
+            for factor in (0.5, 1.0, 1.5):
+                stats[f"wbar_{belief}"] = factor * root
+                got = best_response(minus, g, belief, EPS, 200, stats)
+                assert np.max(np.abs(got - want)) <= 1e-8, (belief, factor)
 
     @PROPERTY
     @given(case=game_and_opponent())
-    def test_fill_mass_monotone_in_atom(self, case):
+    def test_first_slot_with_mass_is_first_below_wbar(self, case):
         g, minus = case
         engine = _ResponseEngine(g, "a", minus)
-        for theta in range(g.n_slots):
-            masses = [engine.fill(theta, a, math.inf)[1] for a in np.linspace(0.0, 1.0, 9)]
-            assert np.all(np.diff(masses) >= -1e-12), (theta, masses)
+        zero_waits = np.array([engine.own_zero_wait(t) for t in range(g.n_slots)])
+        p_star, w_star = _search_wbar(engine, EPS, 200, None)
+        trials = [(p_star, w_star)]
+        just_above = zero_waits + 1e-9 * (1.0 + zero_waits)
+        for w in np.concatenate([zero_waits, just_above, zero_waits + 0.25 * g.x_a.chi * g.lam_a]):
+            trials.append((engine.fill(w, math.inf)[0], w))
+        for p, w in trials:
+            below = np.flatnonzero(zero_waits < w)
+            first = below[0] if below.size else g.n_slots
+            assert np.all(p[:first] == 0.0), w
+            assert first == g.n_slots or p[first] > 0.0, w
+
+    @PROPERTY
+    @given(case=game_and_opponent())
+    def test_fill_mass_monotone_in_wbar(self, case):
+        g, minus = case
+        engine = _ResponseEngine(g, "a", minus)
+        w_min = min(engine.own_zero_wait(t) for t in range(g.n_slots))
+        _, w_star = _search_wbar(engine, EPS, 200, None)
+        grid = np.linspace(w_min, w_min + 2.0 * (w_star - w_min), 17)
+        masses = [engine.fill(w, math.inf)[1] for w in grid]
+        assert masses[0] == 0.0
+        assert np.all(np.diff(masses) >= -1e-12), masses
 
 
     @PROPERTY
@@ -116,7 +195,7 @@ class TestSolverProperties:
 class TestBisection:
     def test_tiny_load_equalizes_waits(self):
         g = SlotGame(0.1, 0.0, 3, 2, make_deterministic(1), make_deterministic(1))
-        p = _bisect_tail(_ResponseEngine(g, "a", np.zeros(2)), 0, EPS, 200)
+        p, _ = _search_wbar(_ResponseEngine(g, "a", np.zeros(2)), EPS, 200, None)
         assert abs(p.sum() - 1.0) < EPS
         prof = workload_profile(g, p / p.sum(), ArrivalStrategy.uniform(2), "a")
         assert abs(prof.w[0] - prof.w[1]) <= 2 * EPS * g.x_a.chi
@@ -124,16 +203,25 @@ class TestBisection:
     def test_success_mass_window(self):
         g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
         minus = ArrivalStrategy.uniform(5).probs
-        p = _bisect_tail(_ResponseEngine(g, "a", minus), 0, EPS, 200)
+        p, _ = _search_wbar(_ResponseEngine(g, "a", minus), EPS, 200, None)
         assert 1.0 - EPS < p.sum() < 1.0 + EPS
 
     def test_overshoot_moves_start(self):
-        # a huge opposing atom at the opening makes the candidate wait so
-        # high that the filled tail overshoots unit mass at a zero atom
+        # a huge opposing atom at the opening makes the opening's own-zero
+        # wait so high that the equilibrium wait lies below it
         g = SlotGame(0.5, 12.5, 1, 60, make_deterministic(4), make_deterministic(2))
         minus = np.zeros(60)
         minus[0] = 1.0
-        assert _bisect_tail(_ResponseEngine(g, "a", minus), 0, EPS, 200) is None
+        engine = _ResponseEngine(g, "a", minus)
+        p, wbar = _search_wbar(engine, EPS, 200, None)
+        assert engine.own_zero_wait(0) >= wbar
+        assert p[0] == 0.0 and abs(p.sum() - 1.0) < EPS
+
+    def test_step_cap_raises(self):
+        g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
+        minus = ArrivalStrategy.uniform(5).probs
+        with pytest.raises(NumericFailure):
+            best_response(minus, g, "a", EPS, max_bisect=1)
 
 
 class TestBestResponse:
@@ -215,6 +303,23 @@ class TestIteratedBestResponse:
         _, _, rep = iterated_best_response(g, cfg)
         assert rep.converged and rep.stalled and rep.iterations == 50
         assert rep.tol == cfg.stall_tol and rep.passed
+
+    def test_warm_start_does_not_leak_between_solves(self):
+        # each solve carries its own w̄ guesses: solving x again after y,
+        # or as an equal but distinct game, repeats x's output bit for bit
+        def solve(g):
+            sa, sb, rep = iterated_best_response(g, SolverConfig())
+            return sa.probs, sb.probs, rep.wbar_a, rep.wbar_b, rep.iterations
+
+        def game_x():
+            return SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
+
+        x = game_x()
+        alone = solve(x)
+        solve(SlotGame(12.5, 12.5, 1, 60, make_deterministic(4), make_deterministic(2)))
+        for again in (solve(x), solve(game_x())):
+            assert np.array_equal(again[0], alone[0]) and np.array_equal(again[1], alone[1])
+            assert again[2:] == alone[2:]
 
     @pytest.mark.xfail(
         strict=True,

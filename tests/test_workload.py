@@ -5,6 +5,7 @@ from arrivalgames.dists import (
     NumericFailure,
     Pmf,
     compound_poisson,
+    convolve,
     make_deterministic,
     make_geometric,
     make_geometric_mixture,
@@ -15,10 +16,16 @@ from arrivalgames.workload import (
     SlotGame,
     SlotState,
     WorkloadStepper,
-    expected_wait,
-    step_pmf,
+    _collapse_shift,
     workload_profile,
 )
+
+
+def step_pmf(v: Pmf, h: Pmf, tau: int) -> Pmf:
+    """One-slot update on checked laws, an oracle for the array kernel:
+    add the arriving work, then drain tau units."""
+    c = convolve(v, h)
+    return Pmf(_collapse_shift(c.mass, tau), c.tail_bound)
 
 
 def sample_pmf(pmf: Pmf, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -50,6 +57,9 @@ class TestStepPmf:
         draws = np.maximum(2 * rng.poisson(1.0, 1_000_000) - 3, 0)
         empirical = np.bincount(draws, minlength=len(out)) / draws.size
         assert np.max(np.abs(out.mass - empirical[: len(out)])) <= 1e-3
+        stepper = WorkloadStepper(make_deterministic(2), 3)
+        v = stepper.advance(stepper.initial(), 1.0).v
+        assert v.size == len(out) and np.max(np.abs(v - out.mass)) <= 1e-12
 
 
 class TestWorkloadProfile:
@@ -157,15 +167,14 @@ class TestExpectedWait:
     def test_opening_formula(self):
         g = SlotGame(5.0, 5.0, 3, 5, make_deterministic(4), make_deterministic(2))
         p0 = ArrivalStrategy.point_mass(5)
-        assert expected_wait(g, p0, p0, "a", 0) == pytest.approx(20.0, abs=1e-12)
+        assert workload_profile(g, p0, p0, "a").w[0] == pytest.approx(20.0, abs=1e-12)
 
     def test_zero_mass_zero_backlog(self):
         g = SlotGame(2.0, 0.0, 4, 3, make_deterministic(1), make_deterministic(1))
         last = ArrivalStrategy.point_mass(3, slot=2)
-        assert expected_wait(g, last, last, "a", 0) == 0.0
+        assert workload_profile(g, last, last, "a").w[0] == 0.0
 
     def test_slot_bounds(self):
         g = SlotGame(1.0, 1.0, 1, 3, make_deterministic(1), make_deterministic(1))
         p = ArrivalStrategy.uniform(3)
-        with pytest.raises(ValueError):
-            expected_wait(g, p, p, "a", 3)
+        assert workload_profile(g, p, p, "a").w.shape == (3,)
