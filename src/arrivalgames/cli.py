@@ -83,7 +83,8 @@ class Scenario:
 
 
 def load_scenario(path: str | Path, overrides: list[str] = (), seed: int | None = None) -> Scenario:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # Values are literal: a "%" is a character, not an interpolation.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     text = Path(path)
     if not text.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
@@ -94,12 +95,16 @@ def load_scenario(path: str | Path, overrides: list[str] = (), seed: int | None 
         raise ScenarioError(f"scenario parse error: {exc}") from exc
     for item in overrides:
         key, _, value = item.partition("=")
-        section, _, field = key.partition(".")
+        section, _, field = (part.strip() for part in key.partition("."))
+        value = value.strip()
         if not (section and field and value):
             raise ScenarioError(f"override must look like section.key=value, got {item!r}")
         if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section.strip(), field.strip(), value.strip())
+            try:
+                parser.add_section(section)
+            except ValueError as exc:
+                raise ScenarioError(f"bad override {item!r}: {exc}") from exc
+        parser.set(section, field, value)
     if not parser.has_section("scenario"):
         raise ScenarioError("scenario file needs a [scenario] block")
     mode = parser.get("scenario", "mode", fallback=None)

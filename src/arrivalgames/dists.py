@@ -13,8 +13,12 @@ jump law's transform ``X_n`` kept per FFT length; for short ones
 (deterministic service and its mixtures) it convolves a Poisson count on
 the multiples of each atom (Embrechts and Frei 2009, "Panjer recursion
 versus FFT for compound distributions"). A Chernoff bound sets the
-truncation so that both the dropped mass and the dropped first moment
-stay within tolerance, and the kernel carries the lost mass as a float.
+window so that both the dropped mass and the dropped first moment stay
+within tolerance. A window longer than a fixed size is then cut at the
+first entry past which its remaining first moment, and so its remaining
+mass, is within tolerance too: FFT round-off and the Poisson tail never
+reach exact zeros, and without the cut supports grow slot by slot. The
+kernel carries the lost mass, the cut's included, as a float.
 ``compound_poisson`` is the same kernel applied to a point mass at zero.
 """
 
@@ -48,6 +52,10 @@ _FFT_SIZES = sorted([2**k for k in range(4, 22)] + [3 * 2**k for k in range(3, 2
 
 # Points of the grid of s on which the kernel minimises its Chernoff bound.
 _CHERNOFF_POINTS = 128
+
+# Windows longer than this are cut where their tail is negligible; on
+# shorter ones the cut costs more than it saves.
+_CUT_MIN = 256
 
 
 class NumericFailure(RuntimeError):
@@ -359,10 +367,13 @@ def _add_compound(
     jump law ``service``, independent of V.
 
     The window is the shortest one whose dropped mass and first moment are
-    both within DEFAULT_TAIL_TOL. Returns the window, without trailing
-    zeros, and the bound on its missing mass. Checks what a ``Pmf``
-    checks: finite, nonnegative up to FFT round-off, mass at most one, and
-    a deficit within the returned bound.
+    both within DEFAULT_TAIL_TOL by a Chernoff bound. Checks what a
+    ``Pmf`` checks: finite, nonnegative up to FFT round-off, mass at most
+    one, and a deficit within the bound. A window of more than _CUT_MIN
+    entries is then cut at the first entry past which the rest of its mass
+    and first moment are both within DEFAULT_TAIL_TOL, which also drops
+    trailing zeros; a shorter one loses only its trailing zeros. Returns
+    the window and the bound on its missing mass, plus what the cut drops.
     """
     if not math.isfinite(lam) or lam < 0.0:
         raise ValueError("compound rate must be finite and nonnegative")
@@ -394,7 +405,6 @@ def _add_compound(
             raise NumericFailure(f"compound-Poisson step produced mass {low!r} < 0")
         c = np.maximum(c, 0.0)
         total = float(c.sum())
-    c = _trim_trailing_zeros(c)
     if total > 1.0 + 1e-9:
         raise NumericFailure(f"compound-Poisson step produced total mass {total!r} > 1")
     bound = tail + law.floor(lam) + DEFAULT_TAIL_TOL
@@ -402,7 +412,13 @@ def _add_compound(
         raise NumericFailure(
             f"compound-Poisson step lost mass {1.0 - total!r} past its bound {bound!r}"
         )
-    return c, bound
+    if c.size <= _CUT_MIN:
+        return _trim_trailing_zeros(c), bound
+    # The first moment of the entries from index j >= 1 on is at least
+    # their mass, so one reverse cumulative sum of it places the cut.
+    moment = np.cumsum((np.arange(c.size) * c)[::-1])
+    end = max(c.size - int(np.searchsorted(moment, DEFAULT_TAIL_TOL, "right")), 1)
+    return c[:end], bound + float(c[end:].sum())
 
 
 def compound_poisson(lam: float, service: ServiceDist) -> Pmf:

@@ -1,10 +1,12 @@
 """End-to-end acceptance suite.
 
 Each test is one committed criterion, run at its stated tolerance, and
-reports a PASS/FAIL line via the conftest hook. The heavy equilibrium
-grid uses 60 slots at unit slot length with the populations rescaled in
+reports a PASS/FAIL line via the conftest hook. Criteria 4 and 5 run on
+two equilibrium grids of four horizons by three service families: the
+paper's full-scale grid (50 arrivals per type, one slot per time unit),
+and a quick one of 60 unit slots with the populations rescaled in
 proportion to the horizon, which preserves the fluid case structure of
-the four reference horizons while staying CI-sized.
+the four reference horizons.
 """
 
 import math
@@ -38,19 +40,34 @@ def service(family: str, chi: float):
     return make_geometric_mixture(chi, 2.0 * math.sqrt(1.0 - 1.0 / chi))
 
 
-@pytest.fixture(scope="module")
-def equilibrium_grid():
-    """Converged equilibria for horizons x service families (reduced grid:
-    60 unit slots, populations scaled by 60/horizon)."""
+def solve_grid(game_for) -> dict:
+    """Converged equilibria for horizons x service families, of the games
+    ``game_for(horizon, x_a, x_b)``."""
     cfg = SolverConfig()
     out = {}
     for horizon in HORIZONS:
-        lam = 50.0 * 60.0 / horizon
         for family in FAMILIES:
-            game = SlotGame(lam, lam, 1, 60, service(family, 4), service(family, 2))
+            game = game_for(horizon, service(family, 4), service(family, 2))
             pa, pb, rep = iterated_best_response(game, cfg)
             out[horizon, family] = (game, pa, pb, rep)
     return out
+
+
+@pytest.fixture(scope="module")
+def equilibrium_grid():
+    """The quick grid: 60 unit slots, populations scaled by 60/horizon."""
+
+    def game(horizon, x_a, x_b):
+        lam = 50.0 * 60.0 / horizon
+        return SlotGame(lam, lam, 1, 60, x_a, x_b)
+
+    return solve_grid(game)
+
+
+@pytest.fixture(scope="module")
+def fullscale_grid():
+    """The paper's grid: 50 arrivals per type, one unit slot per time unit."""
+    return solve_grid(lambda h, x_a, x_b: SlotGame(50.0, 50.0, 1, h, x_a, x_b))
 
 
 @pytest.fixture(scope="module")
@@ -111,19 +128,17 @@ def test_criterion_3_fluid_solutions():
     assert eq.segments_b[0].start == 0.5
 
 
-@pytest.mark.criterion("4 (discrete equilibrium validity)")
-def test_criterion_4_discrete_equilibria(equilibrium_grid):
-    for (horizon, family), (game, pa, pb, rep) in equilibrium_grid.items():
+def check_equilibria_valid(grid: dict) -> None:
+    for (horizon, family), (game, pa, pb, rep) in grid.items():
         assert rep.converged, (horizon, family, rep)
         assert rep.passes(5e-4), (horizon, family, rep)
         if horizon in (60, 120, 180):
             assert abs(pa.cdf()[0] - 1.0) <= 1e-3, (horizon, family, pa.cdf()[0])
 
 
-@pytest.mark.criterion("5 (waits increase with service CV)")
-def test_criterion_5_cv_monotonicity(equilibrium_grid):
+def check_waits_increase_with_cv(grid: dict) -> None:
     for horizon in HORIZONS:
-        reps = [equilibrium_grid[horizon, family][3] for family in FAMILIES]
+        reps = [grid[horizon, family][3] for family in FAMILIES]
         for attr in ("wbar_a", "wbar_b"):
             w_det, w_geo, w_mix = (getattr(r, attr) for r in reps)
             assert w_det <= w_geo + 1e-9, (horizon, attr)
@@ -131,12 +146,32 @@ def test_criterion_5_cv_monotonicity(equilibrium_grid):
     # strictness at the longest horizon, on the population-average wait
     pop = {}
     for family in FAMILIES:
-        game, _, _, rep = equilibrium_grid[240, family]
+        game, _, _, rep = grid[240, family]
         pop[family] = (game.lam_a * rep.wbar_a + game.lam_b * rep.wbar_b) / (
             game.lam_a + game.lam_b
         )
     assert pop["geometric"] >= 1.01 * pop["deterministic"]
     assert pop["mixture"] >= 1.01 * pop["geometric"]
+
+
+@pytest.mark.criterion("4 (discrete equilibrium validity)")
+def test_criterion_4_discrete_equilibria(equilibrium_grid):
+    check_equilibria_valid(equilibrium_grid)
+
+
+@pytest.mark.criterion("4 (discrete equilibrium validity, full scale)")
+def test_criterion_4_discrete_equilibria_fullscale(fullscale_grid):
+    check_equilibria_valid(fullscale_grid)
+
+
+@pytest.mark.criterion("5 (waits increase with service CV)")
+def test_criterion_5_cv_monotonicity(equilibrium_grid):
+    check_waits_increase_with_cv(equilibrium_grid)
+
+
+@pytest.mark.criterion("5 (waits increase with service CV, full scale)")
+def test_criterion_5_cv_monotonicity_fullscale(fullscale_grid):
+    check_waits_increase_with_cv(fullscale_grid)
 
 
 @pytest.mark.criterion("6 (compound-Poisson oracle equivalence)")

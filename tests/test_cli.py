@@ -146,6 +146,32 @@ class TestScenarioParsing:
         path = write(tmp_path, FLUID_SCENARIO)
         assert main(["run", str(path), "--out", str(tmp_path / "o"), "--override", "nonsense"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("override", ["solver .eps=1", " fluid . mu_b = 4 "])
+    def test_override_with_spaces_applies(self, tmp_path, override):
+        path = write(tmp_path, FLUID_SCENARIO)
+        key, _, value = override.partition("=")
+        section, _, field = key.partition(".")
+        scn = load_scenario(path, [override])
+        assert scn.get(section.strip(), field.strip(), float) == float(value)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out), "--override", override]) == EXIT_OK
+        assert (out / "summary.txt").is_file()
+
+    @pytest.mark.parametrize("override", ["DEFAULT.mu_b=4", "fluid.mu_b=4%", " .mu_b=4"])
+    def test_unusable_override_exits_2_without_outputs(self, tmp_path, capsys, override):
+        path = write(tmp_path, FLUID_SCENARIO)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out), "--override", override]) == EXIT_PARSE
+        assert "scenario error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_percent_in_value_is_a_bad_value(self, tmp_path, capsys):
+        path = write(tmp_path, FLUID_SCENARIO.replace("mu_b = 2", "mu_b = 2%"))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_PARSE
+        assert "bad value for [fluid] mu_b: '2%'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFluidMode:
     def test_reference_atom_in_csv(self, tmp_path):
