@@ -35,6 +35,12 @@ _MASS_FLOOR = 1e-8
 # stalled alternation is accepted, as multiples of eps.
 _VERIFY_SCALE = 50.0
 _STALL_SCALE = 200.0
+# Margins of the drift bound of `_ResponseEngine`: a relative loss of the
+# workload mean per slot of the horizon, and an absolute one per slot per
+# unit of (1 + tau). On the benchmark's and the full-scale games a step
+# falls short of the bound by at most 5e-14 relative and 2e-11 absolute.
+_DRIFT_REL = 1e-9
+_DRIFT_ABS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,8 @@ class SolverConfig:
             raise ValueError("eps and delta must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        if self.max_bisect < 1:
+            raise ValueError("max_bisect must be at least 1")
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> float:
         """Sup-norm distance between two slot vectors."""
@@ -110,16 +118,41 @@ class _ResponseEngine:
 
     Keeps the own-mass-zero prefix states cached, so every fill replays
     only the slots from its first slot with mass on.
+
+    A drift bound, built once per response from the opponent's loads,
+    rules slots out without stepping to them. A step's workload mean obeys
+    E[(V + A - tau)^+] >= E[V] + m E[N] - tau, with m the mean of the
+    truncated jump law the kernel adds, and the own type's arrivals only
+    raise it. So from a state of mean ``ev`` at slot t, a later slot s has
+    an own-zero wait of at least
+    ``shrink * ev - reach[t] + reach[s] + chi/2 other_load[s]``, where
+    ``reach[s]`` sums ``shrink * m * other_load - tau - margin`` over the
+    slots before s, and ``later[t]`` is the least of the last two terms
+    over s > t. The margins, ``1 - shrink = _DRIFT_REL (n + 1)`` relative
+    and ``_DRIFT_ABS (1 + tau)`` per slot, cover the kernel's truncation
+    dust (lost mass scales the mean down, a dropped first moment shifts
+    it) and the rounding of the means: the floor holds for the computed
+    means, and a slot it rules out takes exactly no mass.
     """
 
     def __init__(self, game: SlotGame, belief: str, p_minus: np.ndarray):
         self.n = game.n_slots
         self.lam_own = game.own_lam(belief)
-        self.chi = game.service(belief).chi
-        self.other_load = game.other_lam(belief) * np.asarray(p_minus, dtype=float)
-        self.stepper = WorkloadStepper(game.service(belief), game.tau)
+        service = game.service(belief)
+        self.chi = service.chi
+        other = game.other_lam(belief) * np.asarray(p_minus, dtype=float)
+        self.other_load = other.tolist()
+        self.stepper = WorkloadStepper(service, game.tau)
         self._prefix = [self.stepper.initial()]
         self.monotonicity_violations = 0
+        self._shrink = 1.0 - _DRIFT_REL * (self.n + 1)
+        drift = (self._shrink * service.pmf.mean()) * other - (
+            game.tau + _DRIFT_ABS * (1.0 + game.tau)
+        )
+        reach = np.cumsum(drift) - drift
+        later = np.minimum.accumulate((reach + (0.5 * self.chi) * other)[::-1])
+        self._reach = reach.tolist()
+        self._later = later[-2::-1].tolist() + [math.inf]
 
     def prefix_state(self, t: int):
         """Workload state before slot t when the responding type never arrives."""
@@ -133,6 +166,34 @@ class _ResponseEngine:
     def own_zero_wait(self, t: int) -> float:
         return self.stepper.wait(self.prefix_state(t), self.other_load[t])
 
+    def _rest(self, t: int, ev: float, wbar: float) -> float:
+        """From a state of mean ``ev`` at slot t, a later slot s can have an
+        own-zero wait below wbar only if ``reach[s] + chi/2 other_load[s]``
+        is below this; no later slot can once ``later[t]`` is not."""
+        return wbar - self._shrink * ev + self._reach[t]
+
+    def first_slot(self, wbar: float, start: int = 0) -> int:
+        """The first slot from ``start`` on whose own-zero wait is below
+        wbar, or n. No wait is negative, and the scan stops once the drift
+        bound rules out every later slot."""
+        if wbar <= 0.0:
+            return self.n
+        for t in range(start, self.n):
+            if self.own_zero_wait(t) < wbar:
+                return t
+            if self._later[t] >= self._rest(t, self.prefix_state(t).ev, wbar):
+                break
+        return self.n
+
+    def min_own_zero_wait(self) -> float:
+        """The smallest own-zero wait, found by scanning for a slot below
+        the least one so far."""
+        t = 0
+        while t < self.n:
+            best = self.own_zero_wait(t)
+            t = self.first_slot(best, t + 1)
+        return best
+
     def fill(self, wbar: float, mass_cap: float) -> tuple[np.ndarray, float]:
         """Fill every slot from the fixed-point formula at equilibrium wait wbar.
 
@@ -142,22 +203,37 @@ class _ResponseEngine:
         cached prefix state. Stops early once total mass exceeds
         ``mass_cap``, so a returned mass at or below the cap means the fill
         ran to the horizon.
+
+        The drift bound of the class, E[(V + A - tau)^+] >= E[V] + m E[N]
+        - tau less its margin for truncation dust, skips slots that take
+        exactly no mass: the fill ends once no later slot's floor is below
+        wbar, and a run of slots without opponent load whose floors are at
+        or above wbar is crossed with one multi-slot drain.
         """
         p = np.zeros(self.n)
         mass = 0.0
-        theta = next((t for t in range(self.n) if self.own_zero_wait(t) < wbar), self.n)
-        if theta == self.n:
+        t = self.first_slot(wbar)
+        if t == self.n:
             return p, mass
-        state = self.prefix_state(theta)
-        for t in range(theta, self.n):
-            if t > theta:
-                state = self.stepper.advance(state, load)
-            raw = (2.0 / self.chi) * (wbar - state.ev) - self.other_load[t]
-            p[t] = max(0.0, raw / self.lam_own)
-            load = self.lam_own * p[t] + self.other_load[t]
+        state = self.prefix_state(t)
+        lam, other, later, reach = self.lam_own, self.other_load, self._later, self._reach
+        while True:
+            raw = (2.0 / self.chi) * (wbar - state.ev) - other[t]
+            p[t] = max(0.0, raw / lam)
+            load = lam * p[t] + other[t]
             mass += p[t]
             if mass > mass_cap:
                 break
+            rest = self._rest(t, state.ev, wbar)
+            if later[t] >= rest:  # always at t = n - 1, where later is inf
+                break
+            # Some later slot's floor is below rest, and an idle slot's
+            # floor is reach[s] itself, so the crossing stops before n.
+            s = t + 1
+            while other[s] == 0.0 and reach[s] >= rest:
+                s += 1
+            state = self.stepper.advance(state, load, s - t)
+            t = s
         return p, mass
 
 
@@ -191,7 +267,7 @@ def _search_wbar(
         if warm and hi == math.inf:
             w = warm.pop()
         elif lo == -math.inf:
-            w = min(engine.own_zero_wait(t) for t in range(engine.n))
+            w = engine.min_own_zero_wait()
         elif hi == math.inf:
             w, step = lo + step, 2.0 * step
         else:

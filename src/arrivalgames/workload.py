@@ -175,16 +175,29 @@ class WorkloadStepper:
         same-slot arrivals is ``load``."""
         return state.ev + 0.5 * load * self.service.chi
 
-    def advance(self, state: SlotState, load: float) -> SlotState:
+    def advance(self, state: SlotState, load: float, slots: int = 1) -> SlotState:
+        """State after the slot's arrivals at mean count ``load`` and
+        ``slots`` slots of draining: the ``slots - 1`` slots after this
+        one take no arrivals, and one collapse-and-shift drains all of
+        them. The mean cross-check spans the whole step.
+
+        The step's mean falls by at most ``slots * tau`` and rises by the
+        arriving work, ``load`` times the mean of the truncated jump law,
+        less the kernel's truncation dust: E[(V + A - slots tau)^+] >=
+        E[V] + m E[N] - slots tau. ``solver._ResponseEngine`` bounds later
+        waits from below with this, with a margin of 1e-9 relative per
+        slot of the horizon and 1e-9 (1 + tau) absolute per slot, far
+        above the dust of about 5e-14 relative and 2e-11 absolute.
+        """
         c, tail = _add_compound(state.v, state.tail, load, self.service)
-        tau = self.tau
-        head = c[: min(tau, c.size)]
-        idle_credit = float((tau - np.arange(head.size)) @ head)
-        ev_tel = state.ev_tel + load * self.service.chi - tau + idle_credit
-        v_next = _collapse_shift(c, tau)
+        drain = self.tau * slots
+        head = c[: min(drain, c.size)]
+        idle_credit = float((drain - np.arange(head.size)) @ head)
+        ev_tel = state.ev_tel + load * self.service.chi - drain + idle_credit
+        v_next = _collapse_shift(c, drain)
         v_next.flags.writeable = False
         ev = float(np.arange(v_next.size) @ v_next)
-        t_next = state.slot + 1
+        t_next = state.slot + slots
         # Both means are exact up to truncation dust, which grows with the
         # support size and the number of slots composed so far.
         slack = 10.0 * DEFAULT_TAIL_TOL * c.size * (t_next + 1) + 1e-9

@@ -78,6 +78,46 @@ def game_and_opponent(draw):
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
 
 
+@st.composite
+def block_opponent(draw):
+    """The 60-slot deterministic game at 50 arrivals per type and unit
+    slots, and an opponent on one block of slots with a heavy first slot:
+    the responding type's waits drop below the block's only once its
+    work drains, so the two supports are disjoint and the fills cross
+    long stretches without opponent load."""
+    g = SlotGame(50.0, 50.0, 1, 60, make_deterministic(4), make_deterministic(2))
+    start = draw(st.integers(0, 20))
+    width = draw(st.integers(1, 30))
+    weights = np.zeros(g.n_slots)
+    weights[start : start + width] = draw(
+        st.lists(st.floats(0.01, 1.0), min_size=width, max_size=width)
+    )
+    weights[start] += draw(st.floats(0.0, 20.0))
+    return g, weights / weights.sum()
+
+
+def unpruned_fill(engine: _ResponseEngine, wbar: float, mass_cap: float):
+    """The fill before the drift bound, kept as its oracle: it steps one
+    slot at a time from the first slot whose own-zero wait is below wbar
+    to the horizon, or until the mass passes the cap."""
+    p = np.zeros(engine.n)
+    mass = 0.0
+    theta = next((t for t in range(engine.n) if engine.own_zero_wait(t) < wbar), engine.n)
+    if theta == engine.n:
+        return p, mass
+    state = engine.prefix_state(theta)
+    for t in range(theta, engine.n):
+        if t > theta:
+            state = engine.stepper.advance(state, load)
+        raw = (2.0 / engine.chi) * (wbar - state.ev) - engine.other_load[t]
+        p[t] = max(0.0, raw / engine.lam_own)
+        load = engine.lam_own * p[t] + engine.other_load[t]
+        mass += p[t]
+        if mass > mass_cap:
+            break
+    return p, mass
+
+
 def scan_and_bisect(g: SlotGame, belief: str, minus, eps: float) -> np.ndarray:
     """The best response by the search the w̄ search replaced, kept as its
     oracle: scan the start slots in order; a slot qualifies when its
@@ -123,6 +163,21 @@ def scan_and_bisect(g: SlotGame, belief: str, minus, eps: float) -> np.ndarray:
             a_mid = 0.5 * (a_lo + a_hi)
         return p
     raise AssertionError("no start slot admits a response")
+
+
+def fill_path(engine: _ResponseEngine, wbar: float):
+    """Workload means and own-zero waits of every slot along the
+    unpruned fill at wbar without a mass cap; a wbar below every own-zero
+    wait gives the own-zero prefix."""
+    state, evs, waits = engine.stepper.initial(), [], []
+    for t in range(engine.n):
+        if t > 0:
+            state = engine.stepper.advance(state, load)
+        evs.append(state.ev)
+        waits.append(engine.stepper.wait(state, engine.other_load[t]))
+        raw = (2.0 / engine.chi) * (wbar - state.ev) - engine.other_load[t]
+        load = engine.lam_own * max(0.0, raw / engine.lam_own) + engine.other_load[t]
+    return evs, waits
 
 
 class TestSolverProperties:
@@ -183,6 +238,50 @@ class TestSolverProperties:
 
 
     @PROPERTY
+    @given(case=st.one_of(game_and_opponent(), block_opponent()))
+    def test_drift_floor_holds_for_computed_means(self, case):
+        # from every slot of a fill path, the engine must not rule out a
+        # level just above a later slot's own-zero wait: neither all later
+        # slots at once nor an idle slot among them
+        g, minus = case
+        for belief in ("a", "b"):
+            engine = _ResponseEngine(g, belief, minus)
+            _, root = _search_wbar(engine, EPS, 200, None)
+            for wbar in (-1.0, root, 2.0 * root):
+                evs, waits = fill_path(engine, wbar)
+                for t in range(g.n_slots - 1):
+                    level = np.nextafter(min(waits[t + 1 :]), math.inf)
+                    assert engine._later[t] < engine._rest(t, evs[t], level), (belief, wbar, t)
+                    for s in range(t + 1, g.n_slots):
+                        if engine.other_load[s] == 0.0:
+                            level = np.nextafter(waits[s], math.inf)
+                            assert engine._reach[s] < engine._rest(t, evs[t], level)
+
+    @PROPERTY
+    @given(case=st.one_of(game_and_opponent(), block_opponent()), data=st.data())
+    def test_pruned_fill_matches_unpruned_oracle(self, case, data):
+        # w̄ on a grid from the smallest own-zero wait to twice the root,
+        # and at own-zero waits and their neighbours, where the drift
+        # bound is closest to the waits it rules out
+        g, minus = case
+        for belief in ("a", "b"):
+            engine = _ResponseEngine(g, belief, minus)
+            waits = [engine.own_zero_wait(t) for t in range(g.n_slots)]
+            assert engine.min_own_zero_wait() == min(waits), belief
+            _, root = _search_wbar(engine, EPS, 200, None)
+            near = [np.nextafter(w, side) for w in waits for side in (-math.inf, math.inf)]
+            for w in waits + near:
+                first = next((t for t, x in enumerate(waits) if x < w), g.n_slots)
+                assert engine.first_slot(w) == first, (belief, w)
+            picks = data.draw(st.lists(st.sampled_from(waits + near), max_size=6))
+            for w in list(np.linspace(min(waits), 2.0 * root, 9)) + picks:
+                for cap in (1.0 + EPS, math.inf):
+                    p, mass = engine.fill(w, cap)
+                    want_p, want_mass = unpruned_fill(engine, w, cap)
+                    assert np.max(np.abs(p - want_p)) <= 1e-15, (belief, w, cap)
+                    assert abs(mass - want_mass) <= 1e-15, (belief, w, cap)
+
+    @PROPERTY
     @given(g=small_game(max_slots=6))
     def test_converged_solve_passes_at_its_gate(self, g):
         cfg = SolverConfig(max_outer=60)
@@ -190,6 +289,17 @@ class TestSolverProperties:
         assert rep.tol == (cfg.stall_tol if rep.stalled else cfg.verify_tol)
         if rep.converged:
             assert rep.passed
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("max_bisect", [0, -3])
+    def test_rejects_search_without_fills(self, max_bisect):
+        with pytest.raises(ValueError, match="max_bisect"):
+            SolverConfig(max_bisect=max_bisect)
+
+    def test_rejects_no_outer_iterations(self):
+        with pytest.raises(ValueError, match="max_outer"):
+            SolverConfig(max_outer=0)
 
 
 class TestBisection:
@@ -337,6 +447,31 @@ class TestIteratedBestResponse:
         )
         _, _, rep = iterated_best_response(g, SolverConfig(max_outer=60))
         assert rep.converged
+
+
+class TestPrunedFillCost:
+    def test_equilibrium_fill_steps_only_to_slots_with_mass(self):
+        # the full-scale 240-slot deterministic game: type a arrives at
+        # the opening and in a late block, type b after it; an unpruned
+        # equilibrium fill of type a steps through all 239 later slots
+        g = SlotGame(50.0, 50.0, 1, 240, make_deterministic(4), make_deterministic(2))
+        _, pb, _ = iterated_best_response(g, SolverConfig())
+        _, wbar = _search_wbar(_ResponseEngine(g, "a", pb.probs), EPS, 200, None)
+        engine = _ResponseEngine(g, "a", pb.probs)
+        calls = []
+        advance = engine.stepper.advance
+
+        def counted(*args):
+            calls.append(args)
+            return advance(*args)
+
+        engine.stepper.advance = counted
+        p, mass = engine.fill(wbar, 1.0 + EPS)
+        assert abs(mass - 1.0) < EPS
+        # the fill ends at type a's last slot, and the gap after the
+        # opening is one drain
+        assert len(calls) <= 108
+        assert len(calls) <= np.count_nonzero(p)
 
 
 class TestExistenceBattery:

@@ -18,3 +18,25 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_no_environment_reads_in_src():
+    # The library takes its settings from arguments and scenario files
+    # only, so no switch outside them can change a result.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            hit = (
+                isinstance(node, ast.Attribute)
+                and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in names for alias in node.names)
+            )
+            if hit:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found

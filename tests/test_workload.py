@@ -127,6 +127,34 @@ class TestDualMeanAgreement:
         with pytest.raises(NumericFailure, match="cross-check"):
             stepper.advance(SlotState(0, Pmf.point_mass(5), 5.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("slots", [2, 7])
+    def test_disagreement_raises_through_multi_slot_drain(self, slots):
+        stepper = WorkloadStepper(make_geometric(2.5), 2)
+        with pytest.raises(NumericFailure, match="cross-check"):
+            stepper.advance(SlotState(0, Pmf.point_mass(5), 5.0, 0.0), 1.0, slots)
+
+
+class TestMultiSlotDrain:
+    @pytest.mark.parametrize(
+        "service", [make_deterministic(4), make_geometric(3.0), make_geometric_mixture(3.0, 2.0)]
+    )
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_equals_one_slot_drains(self, service, tau):
+        # one drain of k slots after a slot's arrivals against that slot
+        # and k - 1 empty ones, from laws short and long against k tau
+        stepper = WorkloadStepper(service, tau)
+        start = stepper.advance(stepper.advance(stepper.initial(), 2.0), 6.0)
+        for slots in (1, 2, 5, 40):
+            for load in (0.0, 1.5):
+                once = stepper.advance(start, load, slots)
+                step = stepper.advance(start, load)
+                for _ in range(slots - 1):
+                    step = stepper.advance(step, 0.0)
+                assert once.slot == step.slot == start.slot + slots
+                assert once.v.size == step.v.size
+                assert np.max(np.abs(once.v - step.v)) <= 1e-15
+                assert once.ev == step.ev and once.tail == step.tail
+
 
 class TestMonotoneLoad:
     def test_extra_early_load_raises_later_workload(self):
