@@ -5,8 +5,9 @@ constant across its arrival slots and no smaller elsewhere. The fixed
 point characterization gives the slot probabilities in closed form from
 a candidate equilibrium wait w̄: each slot receives whatever probability
 brings its wait up to w̄, clipped at zero. A best response is one
-safeguarded secant search for the w̄ whose fill carries unit mass,
-warm-started at the previous w̄ of the outer alternation. The solver
+safeguarded secant search for the w̄ whose fill carries unit mass. Within
+an outer alternation it starts with a fill at the type's previous w̄ and
+a Newton step with the last secant slope of mass in w̄. The solver
 alternates best responses between the two types until the pair stops
 moving in the sup norm. Any point the alternation converges to is an
 equilibrium, which `verify_equilibrium` checks independently.
@@ -41,6 +42,14 @@ _STALL_SCALE = 200.0
 # falls short of the bound by at most 5e-14 relative and 2e-11 absolute.
 _DRIFT_REL = 1e-9
 _DRIFT_ABS = 1e-9
+# A search's fill runs to the horizon, so that its mass is exact, unless
+# the mass passes one by more than this (or eps).
+_EXACT_SPAN = 0.5
+
+
+def _check_max_bisect(max_bisect: int) -> None:
+    if max_bisect < 1:
+        raise ValueError("max_bisect must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,9 @@ class SolverConfig:
     ``verify_tol`` is the reported verification tolerance (50 eps);
     ``stall_tol`` is the looser gate at which a stalled alternation is
     accepted (200 eps), so converged output always verifies at stall_tol.
-    ``max_bisect`` caps the fills (bracket doublings and steps) of each
-    best response's search on w̄; past it the search raises
+    ``max_bisect`` caps the steps of each best response's search on w̄:
+    its fills, and the one look-up of the bracket's lower end when a
+    search needs it. It must be at least 1; past it the search raises
     ``NumericFailure``.
     """
 
@@ -67,8 +77,7 @@ class SolverConfig:
             raise ValueError("eps and delta must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.max_bisect < 1:
-            raise ValueError("max_bisect must be at least 1")
+        _check_max_bisect(self.max_bisect)
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> float:
         """Sup-norm distance between two slot vectors."""
@@ -238,66 +247,89 @@ class _ResponseEngine:
 
 
 def _search_wbar(
-    engine: _ResponseEngine, eps: float, max_fills: int, guess: float | None
-) -> tuple[np.ndarray, float]:
+    engine: _ResponseEngine,
+    eps: float,
+    max_fills: int,
+    guess: float | None,
+    slope: float | None = None,
+) -> tuple[np.ndarray, float, float | None]:
     """Search the equilibrium wait w̄ whose fill carries unit mass; return
-    the fill and w̄.
+    the fill, w̄ and the slope of mass in w̄ to carry to the next search.
 
     The mass is zero up to the smallest own-zero wait and grows without
     bound above it, so a bracket always closes. A ``guess`` (the previous
-    w̄ of an outer alternation) is tried at w̄(1 ± 1e-6) first. Failing a
-    bracket, its lower end is the smallest own-zero wait, and the upper
-    end starts chi*lam/2 above the lower end and doubles that increment
-    until a fill overfills. Each step is the secant through the last two
-    fills that ran to the horizon (an early-stopped fill only bounds the
-    mass), or a bisection when that leaves the bracket or the bracket has
-    not halved in three steps. The search stops at a mass within
+    w̄ of an outer alternation) is filled first, to the horizon. Every
+    later step is a Newton step from the last fill that ran to the
+    horizon, with the secant slope through the last two such fills, or,
+    before there are two, with ``slope`` (the last secant slope of the
+    previous search). A step may extrapolate into a side of the bracket
+    that is still open. The search
+    falls back when a step leaves the bracket, when there is none, or
+    when |mass - 1| has not halved in two fills: to the smallest own-zero
+    wait (mass 0) while the bracket has no lower end, then to chi*lam/2
+    above the lower end, doubling that increment, while it has no upper
+    end, and to bisection once it has both. Other fills stop early only
+    once their mass passes one by more than ``_EXACT_SPAN`` (or eps), so
+    fills near the root are exact and serve the secant; an early-stopped
+    fill only bounds its mass from below, and monotonicity is checked
+    between exact masses alone. The search stops at a mass within
     ``eps * 1e-4`` of one, well inside the acceptance window, so that the
     response is a stable function of its inputs. After ``max_fills``
-    fills, or once the bracket closes to float resolution, it accepts a
+    steps, or once the bracket closes to float resolution, it accepts a
     mass within eps of one or raises ``NumericFailure``.
     """
-    cap, target = 1.0 + eps, min(eps * 1e-4, 1e-9)
-    lo, m_lo, hi, m_hi = -math.inf, 0.0, math.inf, math.inf
-    recent: list[tuple[float, float]] = []  # the last two fills that ran to the horizon
-    warm = [] if guess is None else [guess * (1.0 + 1e-6), guess * (1.0 - 1e-6)]
-    step, width, stale = 0.5 * engine.chi * engine.lam_own, math.inf, 0
+    target = min(eps * 1e-4, 1e-9)
+    lo, m_lo, hi, m_hi = -math.inf, 0.0, math.inf, math.inf  # m_hi is inf unless exact
+    last = None  # the last fill that ran to the horizon, as (w̄, mass)
+    resid: list[float] = []  # |mass - 1| of every fill
+    increment = 0.5 * engine.chi * engine.lam_own
     p, w, m = None, math.nan, math.nan
     for _ in range(max_fills):
-        if warm and hi == math.inf:
-            w = warm.pop()
-        elif lo == -math.inf:
-            w = engine.min_own_zero_wait()
-        elif hi == math.inf:
-            w, step = lo + step, 2.0 * step
+        if guess is not None and math.isfinite(guess):
+            w, guess, cap = guess, None, math.inf
         else:
-            if hi - lo <= 0.5 * width:
-                width, stale = hi - lo, 0
-            else:
-                stale += 1
-            w = 0.5 * (lo + hi)
-            if stale < 3 and len(recent) == 2 and recent[0][1] != recent[1][1]:
-                (w1, m1), (w2, m2) = recent
-                secant = w2 + (1.0 - m2) * (w2 - w1) / (m2 - m1)
-                if lo < secant < hi:
-                    w = secant
-            if not lo < w < hi:
-                break
+            cap = 1.0 + max(eps, _EXACT_SPAN)
+            # A secant step is a Newton step with the latest secant slope.
+            # A slope that is 0, negative, nan or inf gives no step inside
+            # the bracket.
+            w = last[0] + (1.0 - last[1]) / slope if last and slope else math.nan
+            stalled = len(resid) > 2 and resid[-1] > 0.5 * resid[-3]
+            if stalled or not lo < w < hi:
+                if lo == -math.inf:
+                    # Mass 0 is exact at the smallest own-zero wait, which
+                    # lies below every fill that carries mass.
+                    lo = engine.min_own_zero_wait()
+                    if last:
+                        slope = last[1] / (last[0] - lo)
+                    last = (lo, m_lo)
+                    continue
+                if hi == math.inf:
+                    w, increment = lo + increment, 2.0 * increment
+                else:
+                    w = 0.5 * (lo + hi)
+                if not lo < w < hi:
+                    break
         p, m = engine.fill(w, cap)
+        resid.append(abs(m - 1.0))
         if m <= cap:
-            # Every fill lies inside the bracket, and an upper end that
-            # stopped early holds more than the cap: the masses compare.
+            # Each fill but the first lies strictly inside the bracket,
+            # whose ends hold exact masses (or inf): they compare, and the
+            # secant has a width.
             if not (m_lo <= m + 1e-12 and m <= m_hi + 1e-12):
                 engine.monotonicity_violations += 1
-            recent = recent[-1:] + [(w, m)]
-        if abs(m - 1.0) < target:
-            return p, w
+            if last:
+                secant = (m - last[1]) / (w - last[0])
+                if 0.0 < secant < math.inf:
+                    slope = secant
+            last = (w, m)
+        if resid[-1] < target:
+            break
         if m < 1.0:
             lo, m_lo = w, m
         else:
-            hi, m_hi = w, m
-    if 1.0 - eps < m < cap:
-        return p, w
+            hi, m_hi = w, (m if m <= cap else math.inf)
+    if 1.0 - eps < m < 1.0 + eps:
+        return p, w, slope
     raise NumericFailure(f"search on the equilibrium wait did not close on unit mass (mass {m!r})")
 
 
@@ -313,11 +345,14 @@ def best_response(
 
     Searches the equilibrium wait w̄ at which the fixed-point fill carries
     unit mass; the returned vector has total mass within eps of one.
-    ``max_bisect`` caps the fills of the search.
+    ``max_bisect`` caps the steps of the search, as in ``SolverConfig``,
+    and a value below 1 raises ``ValueError``.
     ``stats``, when given, accumulates the monotonicity violations and
-    carries this type's last w̄ (key ``"wbar_<belief>"``) from one call to
-    the next as the search's first guess.
+    carries this type's last w̄ (key ``"wbar_<belief>"``) and the last
+    secant slope of its mass in w̄ (key ``"slope_<belief>"``) from one
+    call to the next, as the search's first fill and first Newton step.
     """
+    _check_max_bisect(max_bisect)
     engine = _ResponseEngine(game, belief, _strategy_probs(p_minus))
     if engine.lam_own == 0.0:
         # A vanishing population does not move the queue: its members all
@@ -328,8 +363,10 @@ def best_response(
         return p
     if stats is None:
         stats = {}
-    key = f"wbar_{belief}"
-    p, stats[key] = _search_wbar(engine, eps, max_bisect, stats.get(key))
+    key, slope_key = f"wbar_{belief}", f"slope_{belief}"
+    p, stats[key], stats[slope_key] = _search_wbar(
+        engine, eps, max_bisect, stats.get(key), stats.get(slope_key)
+    )
     stats["monotonicity_violations"] = (
         stats.get("monotonicity_violations", 0) + engine.monotonicity_violations
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrivalgames import solver
 from arrivalgames.dists import (
     NumericFailure,
     make_deterministic,
@@ -194,18 +195,27 @@ class TestSolverProperties:
     @PROPERTY
     @given(case=game_and_opponent())
     def test_response_matches_scan_and_bisect(self, case):
-        # cold, and warm-started from guesses below, at and above the root
+        # cold, and warm-started from guesses below, at and above the root,
+        # each with a carried slope that is missing, unusable, far off or
+        # true
         g, minus = case
         for belief in ("a", "b"):
             want = scan_and_bisect(g, belief, minus, EPS)
             stats = {}
             got = best_response(minus, g, belief, EPS, 200, stats)
             assert np.max(np.abs(got - want)) <= 1e-8, belief
+            assert stats["monotonicity_violations"] == 0, belief
             root = stats[f"wbar_{belief}"]
+            engine = _ResponseEngine(g, belief, minus)
+            h = 1e-6 * root
+            true = (engine.fill(root + h, math.inf)[1] - engine.fill(root - h, math.inf)[1]) / (2 * h)
+            slopes = (None, 0.0, -true, math.nan, math.inf, 1e-12 * true, 1e12 * true, true)
             for factor in (0.5, 1.0, 1.5):
-                stats[f"wbar_{belief}"] = factor * root
-                got = best_response(minus, g, belief, EPS, 200, stats)
-                assert np.max(np.abs(got - want)) <= 1e-8, (belief, factor)
+                for slope in slopes:
+                    stats = {f"wbar_{belief}": factor * root, f"slope_{belief}": slope}
+                    got = best_response(minus, g, belief, EPS, 200, stats)
+                    assert np.max(np.abs(got - want)) <= 1e-8, (belief, factor, slope)
+                    assert stats["monotonicity_violations"] == 0, (belief, factor, slope)
 
     @PROPERTY
     @given(case=game_and_opponent())
@@ -213,7 +223,7 @@ class TestSolverProperties:
         g, minus = case
         engine = _ResponseEngine(g, "a", minus)
         zero_waits = np.array([engine.own_zero_wait(t) for t in range(g.n_slots)])
-        p_star, w_star = _search_wbar(engine, EPS, 200, None)
+        p_star, w_star, _ = _search_wbar(engine, EPS, 200, None)
         trials = [(p_star, w_star)]
         just_above = zero_waits + 1e-9 * (1.0 + zero_waits)
         for w in np.concatenate([zero_waits, just_above, zero_waits + 0.25 * g.x_a.chi * g.lam_a]):
@@ -230,7 +240,7 @@ class TestSolverProperties:
         g, minus = case
         engine = _ResponseEngine(g, "a", minus)
         w_min = min(engine.own_zero_wait(t) for t in range(g.n_slots))
-        _, w_star = _search_wbar(engine, EPS, 200, None)
+        _, w_star, _ = _search_wbar(engine, EPS, 200, None)
         grid = np.linspace(w_min, w_min + 2.0 * (w_star - w_min), 17)
         masses = [engine.fill(w, math.inf)[1] for w in grid]
         assert masses[0] == 0.0
@@ -246,7 +256,7 @@ class TestSolverProperties:
         g, minus = case
         for belief in ("a", "b"):
             engine = _ResponseEngine(g, belief, minus)
-            _, root = _search_wbar(engine, EPS, 200, None)
+            _, root, _ = _search_wbar(engine, EPS, 200, None)
             for wbar in (-1.0, root, 2.0 * root):
                 evs, waits = fill_path(engine, wbar)
                 for t in range(g.n_slots - 1):
@@ -268,7 +278,7 @@ class TestSolverProperties:
             engine = _ResponseEngine(g, belief, minus)
             waits = [engine.own_zero_wait(t) for t in range(g.n_slots)]
             assert engine.min_own_zero_wait() == min(waits), belief
-            _, root = _search_wbar(engine, EPS, 200, None)
+            _, root, _ = _search_wbar(engine, EPS, 200, None)
             near = [np.nextafter(w, side) for w in waits for side in (-math.inf, math.inf)]
             for w in waits + near:
                 first = next((t for t, x in enumerate(waits) if x < w), g.n_slots)
@@ -297,6 +307,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="max_bisect"):
             SolverConfig(max_bisect=max_bisect)
 
+    @pytest.mark.parametrize("max_bisect", [0, -3])
+    def test_best_response_rejects_search_without_fills(self, max_bisect):
+        g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
+        minus = ArrivalStrategy.uniform(5).probs
+        with pytest.raises(ValueError, match="max_bisect"):
+            best_response(minus, g, "a", EPS, max_bisect=max_bisect)
+
     def test_rejects_no_outer_iterations(self):
         with pytest.raises(ValueError, match="max_outer"):
             SolverConfig(max_outer=0)
@@ -305,7 +322,7 @@ class TestSolverConfig:
 class TestBisection:
     def test_tiny_load_equalizes_waits(self):
         g = SlotGame(0.1, 0.0, 3, 2, make_deterministic(1), make_deterministic(1))
-        p, _ = _search_wbar(_ResponseEngine(g, "a", np.zeros(2)), EPS, 200, None)
+        p, _, _ = _search_wbar(_ResponseEngine(g, "a", np.zeros(2)), EPS, 200, None)
         assert abs(p.sum() - 1.0) < EPS
         prof = workload_profile(g, p / p.sum(), ArrivalStrategy.uniform(2), "a")
         assert abs(prof.w[0] - prof.w[1]) <= 2 * EPS * g.x_a.chi
@@ -313,7 +330,7 @@ class TestBisection:
     def test_success_mass_window(self):
         g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
         minus = ArrivalStrategy.uniform(5).probs
-        p, _ = _search_wbar(_ResponseEngine(g, "a", minus), EPS, 200, None)
+        p, _, _ = _search_wbar(_ResponseEngine(g, "a", minus), EPS, 200, None)
         assert 1.0 - EPS < p.sum() < 1.0 + EPS
 
     def test_overshoot_moves_start(self):
@@ -323,7 +340,7 @@ class TestBisection:
         minus = np.zeros(60)
         minus[0] = 1.0
         engine = _ResponseEngine(g, "a", minus)
-        p, wbar = _search_wbar(engine, EPS, 200, None)
+        p, wbar, _ = _search_wbar(engine, EPS, 200, None)
         assert engine.own_zero_wait(0) >= wbar
         assert p[0] == 0.0 and abs(p.sum() - 1.0) < EPS
 
@@ -414,11 +431,27 @@ class TestIteratedBestResponse:
         assert rep.converged and rep.stalled and rep.iterations == 50
         assert rep.tol == cfg.stall_tol and rep.passed
 
-    def test_warm_start_does_not_leak_between_solves(self):
-        # each solve carries its own w̄ guesses: solving x again after y,
-        # or as an equal but distinct game, repeats x's output bit for bit
+    def test_warm_start_does_not_leak_between_solves(self, monkeypatch):
+        # each solve carries its own w̄ guesses and slopes: solving x again
+        # after y, or as an equal but distinct game, repeats x's output bit
+        # for bit, and each solve's first responses see neither key
+        seen = []
+        respond = solver.best_response
+
+        def recorded(p_minus, game, belief, eps, max_bisect, stats):
+            seen.append((belief, dict(stats)))
+            return respond(p_minus, game, belief, eps, max_bisect, stats)
+
+        monkeypatch.setattr(solver, "best_response", recorded)
+
         def solve(g):
+            seen.clear()
             sa, sb, rep = iterated_best_response(g, SolverConfig())
+            first = {belief: stats for belief, stats in reversed(seen)}
+            for belief in ("a", "b"):
+                assert f"wbar_{belief}" not in first[belief]
+                assert f"slope_{belief}" not in first[belief]
+            assert all(f"slope_{b}" in stats for b, stats in seen[2:])
             return sa.probs, sb.probs, rep.wbar_a, rep.wbar_b, rep.iterations
 
         def game_x():
@@ -456,7 +489,7 @@ class TestPrunedFillCost:
         # equilibrium fill of type a steps through all 239 later slots
         g = SlotGame(50.0, 50.0, 1, 240, make_deterministic(4), make_deterministic(2))
         _, pb, _ = iterated_best_response(g, SolverConfig())
-        _, wbar = _search_wbar(_ResponseEngine(g, "a", pb.probs), EPS, 200, None)
+        _, wbar, _ = _search_wbar(_ResponseEngine(g, "a", pb.probs), EPS, 200, None)
         engine = _ResponseEngine(g, "a", pb.probs)
         calls = []
         advance = engine.stepper.advance
@@ -472,6 +505,34 @@ class TestPrunedFillCost:
         # opening is one drain
         assert len(calls) <= 108
         assert len(calls) <= np.count_nonzero(p)
+
+
+class TestSearchCost:
+    @pytest.mark.parametrize(
+        "game, iterations, most",
+        [
+            # the paper's 20-slot geometric game: its 88 responses close in
+            # 285 fills (582 with the search this one replaced)
+            (SlotGame(5.0, 5.0, 3, 20, make_geometric(4), make_geometric(2)), 44, 300),
+            # the full-scale 240-slot deterministic game, whose masses form
+            # a staircase in w̄: 14 responses in 88 fills (154 before)
+            (SlotGame(50.0, 50.0, 1, 240, make_deterministic(4), make_deterministic(2)), 7, 92),
+        ],
+        ids=["br20", "det240"],
+    )
+    def test_solve_closes_its_responses_in_few_fills(self, monkeypatch, game, iterations, most):
+        fills = []
+        fill = _ResponseEngine.fill
+
+        def counted(engine, wbar, mass_cap):
+            fills.append(wbar)
+            return fill(engine, wbar, mass_cap)
+
+        monkeypatch.setattr(_ResponseEngine, "fill", counted)
+        _, _, rep = iterated_best_response(game, SolverConfig())
+        assert rep.converged and rep.iterations == iterations
+        assert rep.monotonicity_violations == 0
+        assert len(fills) <= most
 
 
 class TestExistenceBattery:

@@ -1,7 +1,11 @@
-"""Checks on the library's source tree."""
+"""Checks on the library's source tree and public surface."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import arrivalgames
+from arrivalgames.solver import SolverConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,3 +44,25 @@ def test_no_environment_reads_in_src():
             if hit:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, found
+
+
+def test_public_surface_is_pinned():
+    # A new public name or solver setting shows in a diff as an edit of
+    # this test.
+    assert sorted(arrivalgames.__all__) == [
+        "AbmConfig", "AbmResult", "AgentState", "ArrivalStrategy",
+        "DEFAULT_TAIL_TOL", "DominanceReport", "EquilibriumReport",
+        "FluidCheck", "FluidEquilibrium", "FluidParams", "InvalidCaseError",
+        "InvalidStrategyError", "NumericFailure", "Pmf", "PosteriorView",
+        "Segment", "ServiceDist", "SignalParams", "SlotGame", "SolverConfig",
+        "SupportBudgetError", "WorkloadProfile", "WorkloadStepper",
+        "best_response", "choose_slot", "classify", "compound_poisson",
+        "conditional_split", "convolve", "coupled_dominance",
+        "iterated_best_response", "make_deterministic", "make_geometric",
+        "make_geometric_mixture", "mix_services", "moments",
+        "posterior_views", "run_abm", "signal_marginals", "simulate_day",
+        "solve_case", "solve_fr", "thresholds", "verify_equilibrium",
+        "verify_fluid", "workload_profile",
+    ]
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert fields == ["eps", "delta", "max_outer", "max_bisect"]
