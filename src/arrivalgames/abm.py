@@ -23,8 +23,8 @@ import numpy as np
 
 from .dists import ServiceDist
 from .fluid import FluidEquilibrium
-from .signals import _check_pq
-from .workload import _strategy_probs
+from .signals import _check_pq, _side
+from .workload import ArrivalStrategy, _check_slots
 
 
 def theta(x: float, c1: float, c2: float) -> float:
@@ -78,8 +78,7 @@ class AbmConfig:
         _check_pq(self.p, self.q)
         if self.c1 <= 0.0 or self.c2 <= 0.0:
             raise ValueError("sigmoid parameters must be positive")
-        if int(self.tau) != self.tau or self.tau < 1 or self.n_slots < 1:
-            raise ValueError("invalid slot structure")
+        _check_slots(self.tau, self.n_slots)
 
     @property
     def join_prob(self) -> float:
@@ -174,7 +173,7 @@ class AbmResult:
     contributing: np.ndarray
 
     def cdf(self, belief: str) -> np.ndarray:
-        return np.cumsum(self.pbar[0 if belief == "a" else 1])
+        return np.cumsum(self.pbar[_side(belief)])
 
 
 def run_abm(cfg: AbmConfig) -> AbmResult:
@@ -242,8 +241,7 @@ def _sample_arrival_times(
         grid = np.linspace(0.0, eq.horizon, 4096)
         cdf = np.concatenate(([0.0], eq.cdf(side, grid)))
         return np.interp(u, cdf, np.concatenate(([0.0], grid)))
-    probs = _strategy_probs(strategy)
-    probs = probs / probs.sum()
+    probs = ArrivalStrategy(strategy).normalized().probs
     slots = rng.choice(probs.size, size=size, p=probs)
     return slots * (horizon / probs.size)
 
@@ -307,6 +305,17 @@ def _workload_path(times: np.ndarray, jobs: np.ndarray) -> np.ndarray:
     return net - np.minimum(0.0, np.minimum.accumulate(net - jobs))
 
 
+def _queue_lengths(arrived: np.ndarray, departures: np.ndarray, epochs: np.ndarray) -> np.ndarray:
+    """Customers arrived and not yet departed at each epoch, per row of
+    ``departures``, given the arrivals so far at each epoch: as each
+    customer departs at or after arriving, the arrivals less the
+    departures so far, counted by binary search."""
+    # FCFS departures are nondecreasing, but as arrival time plus workload
+    # they can fall by a rounding error, and the search needs sorted rows.
+    departed = [np.searchsorted(d, epochs, side="right") for d in np.sort(departures, axis=1)]
+    return arrived - np.stack(departed)
+
+
 def _path_dominates(times, jobs_a, jobs_b) -> tuple[bool, float]:
     """Whether V_a >= V_b and Q_a >= Q_b at every arrival and departure
     epoch, and the largest excess of b over a there."""
@@ -316,8 +325,7 @@ def _path_dominates(times, jobs_a, jobs_b) -> tuple[bool, float]:
     # Every epoch is at or after the first arrival, so k >= 0.
     k = np.searchsorted(times, epochs, side="right") - 1
     v = np.maximum(0.0, v_after[:, k] - (epochs - times[k]))
-    # Q at an epoch: the customers who have arrived and not yet departed.
-    queue = ((times <= epochs[:, None]) & (departures[:, None] > epochs[:, None])).sum(axis=2)
+    queue = _queue_lengths(k + 1, departures, epochs)
     worst = max(0.0, float((v[1] - v[0]).max()), float((queue[1] - queue[0]).max()))
     ok = not (np.any(v[1] > v[0] + 1e-9) or np.any(queue[1] > queue[0]))
     return ok, worst

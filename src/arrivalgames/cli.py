@@ -12,9 +12,10 @@ there (``passed``).
 
 Exit codes: 0 success, 2 scenario parse/validation error, 3 solver
 non-convergence (outputs still written), 4 invalid model parameters,
-including a NaN or infinite population, a fluid ``grid_n`` below 2 and a
-model past the workload kernel's support budget (no outputs written), 5
-numerical failure of the solver (no outputs written).
+including a NaN or infinite population, a NaN or infinite ``[solver]``
+value, a fluid ``grid_n`` below 2 and a model past the workload
+kernel's support budget (no outputs written), 5 numerical failure of
+the solver (no outputs written).
 """
 
 from __future__ import annotations

@@ -126,10 +126,6 @@ class Pmf:
     def total(self) -> float:
         return float(self.mass.sum())
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(self.mass.size)
-
     def mean(self) -> float:
         return float(np.arange(self.mass.size) @ self.mass)
 
@@ -137,9 +133,6 @@ class Pmf:
         k = np.arange(self.mass.size)
         m = float(k @ self.mass)
         return max(0.0, float((k * k) @ self.mass) - m * m)
-
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.mass)
 
 
 def moments(f: Pmf) -> tuple[float, float, float]:

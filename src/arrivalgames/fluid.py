@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import _side
+
 CASE_TAGS = ("i", "ii", "iii", "iv", "v", "vi")
 
 
@@ -69,10 +71,10 @@ class FluidEquilibrium:
     non_unique: bool = False
 
     def atom(self, side: str) -> float:
-        return self.atom_a if side == "a" else self.atom_b
+        return (self.atom_a, self.atom_b)[_side(side)]
 
     def segments(self, side: str) -> tuple[Segment, ...]:
-        return self.segments_a if side == "a" else self.segments_b
+        return (self.segments_a, self.segments_b)[_side(side)]
 
     def cdf(self, side: str, t) -> np.ndarray | float:
         """Arrival cdf F_side evaluated at t (scalar or array) in [0, horizon]."""
@@ -230,7 +232,7 @@ def _faced_queue(params: FluidParams, eq: FluidEquilibrium, side: str, grid: np.
     meaningful when a belief's queue empties. At t = 0 the faced mass is
     q0: half the opening atoms stand ahead of a simultaneous arrival.
     """
-    mu = params.mu_a if side == "a" else params.mu_b
+    mu = (params.mu_a, params.mu_b)[_side(side)]
     inflow = params.lam_a * eq.cdf("a", grid) + params.lam_b * eq.cdf("b", grid)
     net = inflow - mu * grid
     faced = net - np.minimum(0.0, np.minimum.accumulate(net))

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 from .dists import ServiceDist, mix_services
 
-MODES = ("a", "b")
+
+def _side(belief: str) -> int:
+    """The one reader of a belief label: 0 for "a" (slow service), 1 for
+    "b", and ``ValueError`` for anything else."""
+    if belief not in ("a", "b"):
+        raise ValueError(f"belief must be 'a' or 'b', got {belief!r}")
+    return int(belief == "b")
 
 
 def _check_pq(p: float, q: float) -> None:

@@ -26,7 +26,7 @@ from .workload import (
     ArrivalStrategy,
     SlotGame,
     WorkloadStepper,
-    _strategy_probs,
+    _as_probs,
     workload_profile,
 )
 
@@ -47,9 +47,13 @@ _DRIFT_ABS = 1e-9
 _EXACT_SPAN = 0.5
 
 
-def _check_max_bisect(max_bisect: int) -> None:
-    if max_bisect < 1:
-        raise ValueError("max_bisect must be at least 1")
+def _check_search(eps: float, max_bisect: int) -> None:
+    """A best response's search needs a finite positive ``eps`` and a
+    ``max_bisect`` of at least 1, else ``ValueError`` (NaN included)."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not max_bisect >= 1:
+        raise ValueError(f"max_bisect must be at least 1, got {max_bisect!r}")
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,16 @@ class SolverConfig:
     """Tolerances and caps for the best-response solver.
 
     ``eps`` is the accepted deviation of total strategy mass from one and
-    ``delta`` the stopping distance between successive iterates.
+    ``delta`` the stopping distance between successive iterates; both
+    must be positive and finite.
     ``verify_tol`` is the reported verification tolerance (50 eps);
     ``stall_tol`` is the looser gate at which a stalled alternation is
     accepted (200 eps), so converged output always verifies at stall_tol.
     ``max_bisect`` caps the steps of each best response's search on w̄:
     its fills, and the one look-up of the bracket's lower end when a
     search needs it. It must be at least 1; past it the search raises
-    ``NumericFailure``.
+    ``NumericFailure``. ``max_outer`` must be at least 1. A setting out of
+    range, NaN included, raises ``ValueError``.
     """
 
     eps: float = 1e-5
@@ -73,15 +79,11 @@ class SolverConfig:
     max_bisect: int = 200
 
     def __post_init__(self):
-        if self.eps <= 0.0 or self.delta <= 0.0:
-            raise ValueError("eps and delta must be positive")
-        if self.max_outer < 1:
+        _check_search(self.eps, self.max_bisect)
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+        if not self.max_outer >= 1:
             raise ValueError("max_outer must be at least 1")
-        _check_max_bisect(self.max_bisect)
-
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Sup-norm distance between two slot vectors."""
-        return float(np.abs(x - y).max())
 
     @property
     def verify_tol(self) -> float:
@@ -194,14 +196,14 @@ class _ResponseEngine:
                 break
         return self.n
 
-    def min_own_zero_wait(self) -> float:
-        """The smallest own-zero wait, found by scanning for a slot below
-        the least one so far."""
+    def min_own_zero_wait(self) -> tuple[float, int]:
+        """The smallest own-zero wait and the first slot with it, found by
+        scanning for a slot below the least one so far."""
         t = 0
         while t < self.n:
-            best = self.own_zero_wait(t)
+            best, slot = self.own_zero_wait(t), t
             t = self.first_slot(best, t + 1)
-        return best
+        return best, slot
 
     def fill(self, wbar: float, mass_cap: float) -> tuple[np.ndarray, float]:
         """Fill every slot from the fixed-point formula at equilibrium wait wbar.
@@ -298,7 +300,7 @@ def _search_wbar(
                 if lo == -math.inf:
                     # Mass 0 is exact at the smallest own-zero wait, which
                     # lies below every fill that carries mass.
-                    lo = engine.min_own_zero_wait()
+                    lo, _ = engine.min_own_zero_wait()
                     if last:
                         slope = last[1] / (last[0] - lo)
                     last = (lo, m_lo)
@@ -345,21 +347,26 @@ def best_response(
 
     Searches the equilibrium wait w̄ at which the fixed-point fill carries
     unit mass; the returned vector has total mass within eps of one.
-    ``max_bisect`` caps the steps of the search, as in ``SolverConfig``,
-    and a value below 1 raises ``ValueError``.
+    ``max_bisect`` caps the steps of the search, as in ``SolverConfig``.
+
+    Inputs are checked before any fill. ``p_minus``, an array-like or an
+    ``ArrivalStrategy``, must have ``game.n_slots`` finite entries, none
+    below -1e-12, else ``InvalidStrategyError``; its mass is not checked,
+    so ``np.zeros(n)`` stands for an absent opponent. ``belief`` must be
+    "a" or "b", ``eps`` positive and finite and ``max_bisect`` at least 1,
+    else ``ValueError``.
     ``stats``, when given, accumulates the monotonicity violations and
     carries this type's last w̄ (key ``"wbar_<belief>"``) and the last
     secant slope of its mass in w̄ (key ``"slope_<belief>"``) from one
     call to the next, as the search's first fill and first Newton step.
     """
-    _check_max_bisect(max_bisect)
-    engine = _ResponseEngine(game, belief, _strategy_probs(p_minus))
+    _check_search(eps, max_bisect)
+    engine = _ResponseEngine(game, belief, _as_probs(p_minus, game.n_slots, math.inf))
     if engine.lam_own == 0.0:
         # A vanishing population does not move the queue: its members all
-        # pick the cheapest slot.
-        waits = [engine.own_zero_wait(t) for t in range(engine.n)]
+        # pick the first slot with the smallest own-zero wait.
         p = np.zeros(engine.n)
-        p[int(np.argmin(waits))] = 1.0
+        p[engine.min_own_zero_wait()[1]] = 1.0
         return p
     if stats is None:
         stats = {}
@@ -379,8 +386,13 @@ def verify_equilibrium(game: SlotGame, p_a, p_b, tol: float) -> EquilibriumRepor
     The equilibrium wait per type is the mass-weighted average wait; the
     report carries the within-support spread and the worst off-support
     improvement, and ``passes(tol)`` requires both below tol.
+
+    ``p_a`` and ``p_b``, array-likes or ``ArrivalStrategy`` objects, must
+    have ``game.n_slots`` finite entries, none below -1e-12, and a mass
+    within 1e-3 of one, else ``InvalidStrategyError``.
     """
-    pa, pb = _strategy_probs(p_a), _strategy_probs(p_b)
+    # workload_profile checks the length and mass of both vectors.
+    pa, pb = ArrivalStrategy(p_a).probs, ArrivalStrategy(p_b).probs
     out = {}
     for belief, probs in (("a", pa), ("b", pb)):
         prof = workload_profile(game, pa, pb, belief, mass_tol=1e-3)
@@ -426,6 +438,11 @@ def iterated_best_response(
     pb = pa.copy()
     # This solve's own: it carries each type's last w̄ into its next response.
     stats: dict = {}
+
+    def verified(tol: float) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
+        sa, sb = ArrivalStrategy(pa).normalized(), ArrivalStrategy(pb).normalized()
+        return sa, sb, verify_equilibrium(game, sa, sb, tol)
+
     converged = False
     stalled = False
     iterations = 0
@@ -433,27 +450,22 @@ def iterated_best_response(
     for iterations in range(1, cfg.max_outer + 1):
         pa_next = best_response(pb, game, "a", cfg.eps, cfg.max_bisect, stats)
         pb_next = best_response(pa_next, game, "b", cfg.eps, cfg.max_bisect, stats)
-        delta = max(cfg.distance(pa_next, pa), cfg.distance(pb_next, pb))
+        delta = max(float(np.abs(pa_next - pa).max()), float(np.abs(pb_next - pb).max()))
         pa, pb = pa_next, pb_next
         if delta < cfg.delta:
             converged = True
             break
         if iterations % 25 == 0:
             if delta > 0.5 * delta_checkpoint:
-                probe = verify_equilibrium(
-                    game,
-                    ArrivalStrategy(pa).normalized(),
-                    ArrivalStrategy(pb).normalized(),
-                    cfg.stall_tol,
-                )
-                if probe.passes(cfg.stall_tol):
+                # A probe that passes is the solve's report.
+                sa, sb, report = verified(cfg.stall_tol)
+                if report.passed:
                     converged = True
                     stalled = True
                     break
             delta_checkpoint = delta
-    sa = ArrivalStrategy(pa).normalized()
-    sb = ArrivalStrategy(pb).normalized()
-    report = verify_equilibrium(game, sa, sb, cfg.stall_tol if stalled else cfg.verify_tol)
+    if not stalled:
+        sa, sb, report = verified(cfg.verify_tol)
     report.iterations = iterations
     report.converged = converged
     report.stalled = stalled

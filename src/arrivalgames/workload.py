@@ -26,6 +26,7 @@ from .dists import (
 # Unused here: bench/tracer.py wraps both names in this namespace, and
 # tests/test_bench_hooks.py checks that they stay importable from it.
 from .dists import compound_poisson, convolve  # noqa: F401
+from .signals import _side
 
 _DELTA0 = np.ones(1)
 _DELTA0.flags.writeable = False
@@ -33,6 +34,14 @@ _DELTA0.flags.writeable = False
 
 class InvalidStrategyError(ValueError):
     """Arrival strategy is not a probability vector within tolerance."""
+
+
+def _check_slots(tau, n_slots) -> None:
+    """Slot length and slot count must be positive integers (integral
+    floats pass), else ``ValueError``, also for NaN and infinity."""
+    for name, value in (("slot length", tau), ("slot count", n_slots)):
+        if not (value >= 1 and float(value).is_integer()):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,38 +59,35 @@ class SlotGame:
     def __post_init__(self):
         if not all(0.0 <= lam < math.inf for lam in (self.lam_a, self.lam_b)):
             raise ValueError("population means must be finite and nonnegative")
-        if int(self.tau) != self.tau or self.tau < 1:
-            raise ValueError("slot length must be a positive integer")
-        if int(self.n_slots) != self.n_slots or self.n_slots < 1:
-            raise ValueError("need at least one slot")
-
-    @property
-    def horizon(self) -> int:
-        return self.tau * self.n_slots
+        _check_slots(self.tau, self.n_slots)
 
     def service(self, belief: str) -> ServiceDist:
-        return self.x_a if belief == "a" else self.x_b
+        return (self.x_a, self.x_b)[_side(belief)]
 
     def own_lam(self, belief: str) -> float:
-        return self.lam_a if belief == "a" else self.lam_b
+        return (self.lam_a, self.lam_b)[_side(belief)]
 
     def other_lam(self, belief: str) -> float:
-        return self.lam_b if belief == "a" else self.lam_a
+        return (self.lam_b, self.lam_a)[_side(belief)]
 
 
 @dataclass(frozen=True)
 class ArrivalStrategy:
-    """Probability vector over slots."""
+    """Probability vector over slots, built from an array-like or from
+    another ``ArrivalStrategy``. Entries must be finite and at least
+    -1e-12, else ``InvalidStrategyError``; they are clipped at zero."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
+        p = self.probs
+        arr = np.asarray(p.probs if isinstance(p, ArrivalStrategy) else p, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("strategy must be a non-empty 1-D vector")
-        if np.any(arr < -1e-12) or not np.all(np.isfinite(arr)):
-            raise ValueError("strategy entries must be finite and nonnegative")
-        arr = np.clip(arr, 0.0, None)
+            raise InvalidStrategyError("strategy must be a non-empty 1-D vector")
+        # min and max are NaN when any entry is.
+        if not (arr.min() >= -1e-12 and arr.max() < math.inf):
+            raise InvalidStrategyError("strategy entries must be finite and nonnegative")
+        arr = np.maximum(arr, 0.0)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -112,21 +118,19 @@ class ArrivalStrategy:
         return np.cumsum(self.probs)
 
 
-def _strategy_probs(p) -> np.ndarray:
-    """The slot vector of an ``ArrivalStrategy`` or of an array-like."""
-    return p.probs if isinstance(p, ArrivalStrategy) else np.asarray(p, dtype=float)
-
-
 def _as_probs(p, n_slots: int, mass_tol: float) -> np.ndarray:
-    arr = _strategy_probs(p)
-    if arr.shape != (n_slots,):
+    """The checked slot vector of a strategy given as an array-like or an
+    ``ArrivalStrategy``: ``n_slots`` entries that pass the entry check of
+    ``ArrivalStrategy`` (clipped at zero) and a total mass within
+    ``mass_tol`` of one (``math.inf`` skips the mass check). Raises
+    ``InvalidStrategyError``."""
+    probs = ArrivalStrategy(p).probs
+    if probs.size != n_slots:
         raise InvalidStrategyError(f"strategy must have length {n_slots}")
-    if np.any(arr < -1e-12) or not np.all(np.isfinite(arr)):
-        raise InvalidStrategyError("strategy entries must be finite and nonnegative")
-    total = float(arr.sum())
+    total = float(probs.sum())
     if abs(total - 1.0) > mass_tol:
         raise InvalidStrategyError(f"strategy mass {total!r} is off the simplex")
-    return np.clip(arr, 0.0, None)
+    return probs
 
 
 def _collapse_shift(c: np.ndarray, tau: int) -> np.ndarray:
@@ -233,8 +237,6 @@ def workload_profile(
     mass_tol: float = 1e-6,
 ) -> WorkloadProfile:
     """Workload law, mean workload and expected wait for every slot."""
-    if belief not in ("a", "b"):
-        raise ValueError("belief must be 'a' or 'b'")
     pa = _as_probs(p_a, game.n_slots, mass_tol)
     pb = _as_probs(p_b, game.n_slots, mass_tol)
     loads = game.lam_a * pa + game.lam_b * pb

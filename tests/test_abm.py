@@ -8,6 +8,7 @@ from arrivalgames.abm import (
     AbmConfig,
     AgentState,
     _path_dominates,
+    _queue_lengths,
     _workload_path,
     choose_slot,
     coupled_dominance,
@@ -140,6 +141,18 @@ class TestSimulateDay:
 
 
 class TestRunAbm:
+    @pytest.mark.parametrize("field", ["tau", "n_slots"])
+    @pytest.mark.parametrize("value", [0, 2.5, math.nan, math.inf])
+    def test_rejects_bad_slot_structure(self, field, value):
+        with pytest.raises(ValueError, match="slot"):
+            small_cfg(**{field: value})
+
+    def test_cdf_rejects_unknown_belief(self):
+        res = run_abm(small_cfg(days=20))
+        assert np.array_equal(res.cdf("b"), np.cumsum(res.pbar[1]))
+        with pytest.raises(ValueError, match="belief"):
+            res.cdf("c")
+
     def test_deterministic_given_seed(self):
         r1 = run_abm(small_cfg())
         r2 = run_abm(small_cfg())
@@ -204,6 +217,13 @@ def lindley(times, jobs):
     return np.array(out)
 
 
+def queue_by_matrix(times, departures, epochs):
+    """Queue lengths from the (system, epoch, customer) matrix of who has
+    arrived and not yet departed, the reference for `_queue_lengths`."""
+    arrived = times <= epochs[:, None]
+    return (arrived & (departures[:, None] > epochs[:, None])).sum(axis=2)
+
+
 def dominates_by_epoch(times, jobs_a, jobs_b):
     """One epoch at a time over every epoch, the reference for
     `_path_dominates`."""
@@ -261,6 +281,24 @@ class TestCoupledDominance:
             assert ok == want_ok and abs(gap - want_gap) <= 1e-9
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+    def test_queue_counts_match_the_matrix_form(self):
+        rng = np.random.default_rng(19)
+        for i in range(600):
+            n = int(rng.integers(1, 40))
+            if i % 2:
+                # integer times and jobs, zero jobs included, so arrivals,
+                # departures and epochs tie
+                times = np.sort(rng.integers(0, 20, n)).astype(float)
+                jobs = rng.integers(0, 4, (2, n)).astype(float)
+            else:
+                times = np.sort(rng.uniform(0.0, 60.0, n))
+                jobs = rng.exponential(2.0, (2, n))
+            departures = times + np.stack([_workload_path(times, j) for j in jobs])
+            epochs = np.concatenate([times, departures.ravel()])
+            arrived = np.searchsorted(times, epochs, side="right")
+            want = queue_by_matrix(times, departures, epochs)
+            assert np.array_equal(_queue_lengths(arrived, departures, epochs), want)
 
     def test_hand_path(self):
         # arrivals at 0 and 1; jobs of 2 in the slow system, 1 in the fast

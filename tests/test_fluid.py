@@ -100,6 +100,12 @@ class TestSolveCase:
         assert (sb.start, sb.end) == (pytest.approx(0.75), pytest.approx(1.0))
         assert sb.density == pytest.approx(4.0)
 
+    def test_unknown_belief_rejected(self):
+        eq = solve_case(fig2_params(2.0), "ii")
+        for read in (eq.atom, eq.segments, lambda side: eq.cdf(side, 0.5)):
+            with pytest.raises(ValueError, match="belief"):
+                read("c")
+
     def test_wrong_tag_rejected(self):
         with pytest.raises(InvalidCaseError):
             solve_case(fig2_params(2.0), "iv")

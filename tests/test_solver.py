@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,12 @@ from arrivalgames.solver import (
     solve_fr,
     verify_equilibrium,
 )
-from arrivalgames.workload import ArrivalStrategy, SlotGame, workload_profile
+from arrivalgames.workload import (
+    ArrivalStrategy,
+    InvalidStrategyError,
+    SlotGame,
+    workload_profile,
+)
 
 EPS = 1e-5
 
@@ -77,6 +83,15 @@ def game_and_opponent(draw):
 
 
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+
+def stall_game() -> SlotGame:
+    """A game whose alternation drifts and ends through the stall test
+    after 50 outer iterations."""
+    return SlotGame(
+        0.46043044880251627, 0.23710764490245248, 2, 10,
+        make_deterministic(2), make_deterministic(1),
+    )
 
 
 @st.composite
@@ -277,7 +292,7 @@ class TestSolverProperties:
         for belief in ("a", "b"):
             engine = _ResponseEngine(g, belief, minus)
             waits = [engine.own_zero_wait(t) for t in range(g.n_slots)]
-            assert engine.min_own_zero_wait() == min(waits), belief
+            assert engine.min_own_zero_wait() == (min(waits), int(np.argmin(waits))), belief
             _, root, _ = _search_wbar(engine, EPS, 200, None)
             near = [np.nextafter(w, side) for w in waits for side in (-math.inf, math.inf)]
             for w in waits + near:
@@ -290,6 +305,19 @@ class TestSolverProperties:
                     want_p, want_mass = unpruned_fill(engine, w, cap)
                     assert np.max(np.abs(p - want_p)) <= 1e-15, (belief, w, cap)
                     assert abs(mass - want_mass) <= 1e-15, (belief, w, cap)
+
+    @PROPERTY
+    @given(g=small_game(), data=st.data())
+    def test_vanishing_population_picks_first_cheapest_slot(self, g, data):
+        # with lam_b = 0 type b's response is the point mass at the first
+        # argmin of its waits when it stays away, stepped one slot at a time
+        g = dataclasses.replace(g, lam_b=0.0)
+        n = g.n_slots
+        minus = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        waits = workload_profile(g, minus, np.zeros(n), "b", mass_tol=math.inf).w
+        want = np.zeros(n)
+        want[int(np.argmin(waits))] = 1.0
+        assert np.array_equal(best_response(minus, g, "b", EPS), want)
 
     @PROPERTY
     @given(g=small_game(max_slots=6))
@@ -317,6 +345,54 @@ class TestSolverConfig:
     def test_rejects_no_outer_iterations(self):
         with pytest.raises(ValueError, match="max_outer"):
             SolverConfig(max_outer=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("delta", math.nan),
+         ("delta", math.inf), ("delta", -1.0), ("max_bisect", math.nan)],
+    )
+    def test_rejects_non_finite_or_non_positive_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+
+class TestBestResponseInputs:
+    GAME = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
+
+    @pytest.mark.parametrize(
+        "minus",
+        [
+            np.ones(1),
+            np.full(7, 1 / 7),
+            np.array([0.25, 0.25, math.nan, 0.25, 0.25]),
+            np.array([-0.5, 0.5, 0.5, 0.5, 0.0]),
+            np.array([-1e-11, 0.25, 0.25, 0.25, 0.25]),
+        ],
+    )
+    def test_rejects_bad_opponent_profile(self, minus):
+        with pytest.raises(InvalidStrategyError):
+            best_response(minus, self.GAME, "a", EPS)
+
+    def test_opponent_mass_is_not_checked(self):
+        # an absent opponent is the zero profile; entries just below zero
+        # are rounding and clip to it
+        p = best_response(np.zeros(5), self.GAME, "a", EPS)
+        q = best_response(np.full(5, -1e-13), self.GAME, "a", EPS)
+        assert np.array_equal(p, q) and abs(p.sum() - 1.0) < EPS
+
+    @pytest.mark.parametrize(
+        "belief, eps, match",
+        [("c", EPS, "belief"), ("a", 0.0, "eps"), ("a", -1.0, "eps"), ("a", math.nan, "eps")],
+    )
+    def test_rejects_bad_settings_before_any_fill(self, monkeypatch, belief, eps, match):
+        def no_fill(*args):
+            raise AssertionError("filled before checking the settings")
+
+        monkeypatch.setattr(_ResponseEngine, "fill", no_fill)
+        monkeypatch.setattr(_ResponseEngine, "min_own_zero_wait", no_fill)
+        minus = ArrivalStrategy.uniform(5)
+        with pytest.raises(ValueError, match=match):
+            best_response(minus, self.GAME, belief, eps)
 
 
 class TestBisection:
@@ -421,15 +497,30 @@ class TestIteratedBestResponse:
         assert rep.tol == cfg.verify_tol and rep.passed
 
     def test_report_gate_is_stall_tol_after_a_stall(self):
-        # a game whose alternation drifts and ends through the stall test
         cfg = SolverConfig()
-        g = SlotGame(
-            0.46043044880251627, 0.23710764490245248, 2, 10,
-            make_deterministic(2), make_deterministic(1),
-        )
-        _, _, rep = iterated_best_response(g, cfg)
+        _, _, rep = iterated_best_response(stall_game(), cfg)
         assert rep.converged and rep.stalled and rep.iterations == 50
         assert rep.tol == cfg.stall_tol and rep.passed
+
+    def test_stalled_solve_verifies_once(self, monkeypatch):
+        # the probe that accepts the stall is the solve's report
+        gates = []
+        verify = solver.verify_equilibrium
+
+        def counted(game, p_a, p_b, tol):
+            gates.append(tol)
+            return verify(game, p_a, p_b, tol)
+
+        monkeypatch.setattr(solver, "verify_equilibrium", counted)
+        cfg = SolverConfig()
+        g = stall_game()
+        sa, sb, rep = iterated_best_response(g, cfg)
+        assert rep.stalled and gates == [cfg.stall_tol]
+        fresh = verify(g, sa, sb, cfg.stall_tol)
+        for field in ("wbar_a", "wbar_b", "max_support_spread", "max_offsupport_violation"):
+            assert getattr(rep, field) == getattr(fresh, field), field
+        assert np.array_equal(rep.support_a, fresh.support_a)
+        assert np.array_equal(rep.support_b, fresh.support_b)
 
     def test_warm_start_does_not_leak_between_solves(self, monkeypatch):
         # each solve carries its own w̄ guesses and slopes: solving x again

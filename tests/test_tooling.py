@@ -46,6 +46,26 @@ def test_no_environment_reads_in_src():
     assert not found, found
 
 
+def test_beliefs_are_compared_in_signals_only():
+    # `signals._side` is the one reader of a belief label, so an unknown
+    # label raises everywhere instead of reading as type b.
+    def is_label(node):
+        if isinstance(node, ast.Constant):
+            return node.value in ("a", "b")
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_label(elt) for elt in node.elts)
+        return False
+
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "signals.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Compare) and any(map(is_label, [node.left, *node.comparators]))
+    ]
+    assert not found, found
+
+
 def test_public_surface_is_pinned():
     # A new public name or solver setting shows in a diff as an edit of
     # this test.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,35 @@ class TestSlotGame:
             SlotGame(lam, 1.0, 1, 2, make_geometric(3), make_geometric(2))
         with pytest.raises(ValueError, match="finite and nonnegative"):
             SlotGame(1.0, lam, 1, 2, make_geometric(3), make_geometric(2))
+
+    @pytest.mark.parametrize(
+        "tau, n_slots",
+        [(0, 2), (1.5, 2), (math.nan, 2), (math.inf, 2), (1, 0), (1, 2.5), (1, math.nan), (1, math.inf)],
+    )
+    def test_rejects_bad_slot_structure(self, tau, n_slots):
+        with pytest.raises(ValueError, match="slot"):
+            SlotGame(1.0, 1.0, tau, n_slots, make_geometric(3), make_geometric(2))
+
+    @pytest.mark.parametrize("belief", ["c", "A", ""])
+    def test_rejects_unknown_belief(self, belief):
+        g = SlotGame(1.0, 2.0, 1, 2, make_geometric(3), make_geometric(2))
+        for read in (g.service, g.own_lam, g.other_lam):
+            with pytest.raises(ValueError, match="belief"):
+                read(belief)
+        with pytest.raises(ValueError, match="belief"):
+            workload_profile(g, np.full(2, 0.5), np.full(2, 0.5), belief)
+
+
+class TestArrivalStrategy:
+    @pytest.mark.parametrize("bad", [[], [[0.5, 0.5]], [0.5, math.nan], [1.5, -0.5], [0.5, math.inf]])
+    def test_entry_check_raises_typed_error(self, bad):
+        with pytest.raises(InvalidStrategyError):
+            ArrivalStrategy(np.array(bad, dtype=float))
+
+    def test_rebuilds_from_a_strategy(self):
+        s = ArrivalStrategy(np.array([0.25, -1e-13, 0.75]))
+        again = ArrivalStrategy(s)
+        assert np.array_equal(again.probs, s.probs) and again.probs[1] == 0.0
 
 
 class TestStepPmf:
