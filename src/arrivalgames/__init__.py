@@ -11,7 +11,6 @@ agent-based simulation (`abm`), and a scenario-driven CLI (`cli`).
 from .abm import (
     AbmConfig,
     AbmResult,
-    AgentState,
     DominanceReport,
     choose_slot,
     coupled_dominance,
@@ -31,10 +30,8 @@ from .dists import (
     make_geometric,
     make_geometric_mixture,
     mix_services,
-    moments,
 )
 from .fluid import (
-    FluidCheck,
     FluidEquilibrium,
     FluidParams,
     InvalidCaseError,
@@ -71,12 +68,10 @@ from .workload import (
 __all__ = [
     "AbmConfig",
     "AbmResult",
-    "AgentState",
     "ArrivalStrategy",
     "DEFAULT_TAIL_TOL",
     "DominanceReport",
     "EquilibriumReport",
-    "FluidCheck",
     "FluidEquilibrium",
     "FluidParams",
     "InvalidCaseError",
@@ -104,7 +99,6 @@ __all__ = [
     "make_geometric",
     "make_geometric_mixture",
     "mix_services",
-    "moments",
     "posterior_views",
     "run_abm",
     "signal_marginals",

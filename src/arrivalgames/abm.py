@@ -24,7 +24,14 @@ import numpy as np
 from .dists import ServiceDist
 from .fluid import FluidEquilibrium
 from .signals import _check_pq, _side
-from .workload import ArrivalStrategy, _check_slots
+from .workload import ArrivalStrategy, _check_counts
+
+
+def _check_sigmoid(c1: float, c2: float) -> None:
+    """Both sigmoid parameters must be positive and finite, else
+    ``ValueError`` (NaN included)."""
+    if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+        raise ValueError(f"sigmoid parameters must be positive and finite, got {c1!r}, {c2!r}")
 
 
 def theta(x: float, c1: float, c2: float) -> float:
@@ -34,8 +41,7 @@ def theta(x: float, c1: float, c2: float) -> float:
     singular point x = 0 is assigned its right limit 0 (a fresh agent
     always explores).
     """
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("sigmoid parameters must be positive")
+    _check_sigmoid(c1, c2)
     if x < 0:
         raise ValueError("visit count must be nonnegative")
     if x == 0:
@@ -53,6 +59,8 @@ class AbmConfig:
     ``pool`` agents join each day independently with probability
     lam / pool; ``days`` is the simulated horizon. Signals have
     correctness q against a mode that is slow with probability p.
+    ``pool``, ``days``, ``tau`` and ``n_slots`` must be positive integers
+    and ``c1``, ``c2`` positive and finite, else ``ValueError``.
     """
 
     pool: int
@@ -69,54 +77,32 @@ class AbmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pool < 1:
-            raise ValueError("agent pool must be nonempty")
+        _check_counts(
+            self, pool="agent pool", days="day count", tau="slot length", n_slots="slot count"
+        )
         if not 0.0 <= self.lam <= self.pool:
             raise ValueError("mean daily arrivals cannot exceed the pool size")
-        if self.days < 1:
-            raise ValueError("need at least one day")
         _check_pq(self.p, self.q)
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
-            raise ValueError("sigmoid parameters must be positive")
-        _check_slots(self.tau, self.n_slots)
+        _check_sigmoid(self.c1, self.c2)
 
     @property
     def join_prob(self) -> float:
         return self.lam / self.pool
 
 
-@dataclass
-class AgentState:
-    """One agent's learning state: running-average waits and visit counts
-    per (belief, slot). A row sum of ``visits`` is the agent's number of
-    arrivals under that belief."""
-
-    wbar: np.ndarray
-    visits: np.ndarray
-
-    @classmethod
-    def fresh(cls, n_slots: int) -> "AgentState":
-        return cls(np.zeros((2, n_slots)), np.zeros((2, n_slots), dtype=np.int64))
-
-    def record(self, belief_idx: int, slot: int, wait: float) -> None:
-        self.visits[belief_idx, slot] += 1
-        n = self.visits[belief_idx, slot]
-        self.wbar[belief_idx, slot] += (wait - self.wbar[belief_idx, slot]) / n
-
-
 def choose_slot(
-    agent: AgentState, belief_idx: int, rng: np.random.Generator, c1: float, c2: float
+    wbar: np.ndarray, visits: np.ndarray, rng: np.random.Generator, c1: float, c2: float
 ) -> tuple[int, bool]:
-    """Pick a slot: uniform exploration, or the slot with the lowest
-    average wait so far (ties broken uniformly).
+    """Pick a slot for one agent under one belief, from its average waits
+    ``wbar`` and visit counts ``visits`` per slot: uniform exploration, or
+    the slot with the lowest average wait so far (ties broken uniformly).
+    The agent's arrivals under the belief are the sum of ``visits``.
 
     Returns (slot, explored).
     """
-    n_slots = agent.wbar.shape[1]
-    if rng.random() >= theta(int(agent.visits[belief_idx].sum()), c1, c2):
-        return int(rng.integers(n_slots)), True
-    row = agent.wbar[belief_idx]
-    best = np.flatnonzero(row == row.min())
+    if rng.random() >= theta(int(visits.sum()), c1, c2):
+        return int(rng.integers(wbar.size)), True
+    best = np.flatnonzero(wbar == wbar.min())
     return int(best[rng.integers(best.size)]), False
 
 
@@ -177,10 +163,12 @@ class AbmResult:
 
 
 def run_abm(cfg: AbmConfig) -> AbmResult:
-    """Simulate the learning dynamics for cfg.days days. An agent's choice
+    """Simulate the learning dynamics for cfg.days days. Each agent learns
+    a running-average wait and a visit count per (belief, slot); its choice
     frequencies under a belief are its normalised visit counts."""
     rng = np.random.default_rng(cfg.seed)
-    agents = [AgentState.fresh(cfg.n_slots) for _ in range(cfg.pool)]
+    wbar = np.zeros((cfg.pool, 2, cfg.n_slots))
+    visits = np.zeros((cfg.pool, 2, cfg.n_slots), dtype=np.int64)
     explored = np.zeros(cfg.days, dtype=np.int64)
     decisions = np.zeros(cfg.days, dtype=np.int64)
     services = {0: cfg.x_a, 1: cfg.x_b}
@@ -192,21 +180,21 @@ def run_abm(cfg: AbmConfig) -> AbmResult:
         correct = rng.random(joiners.size) < cfg.q
         beliefs = np.where(correct, mode, 1 - mode)
         arrivals: list[tuple[int, int]] = []
-        for k, belief_idx in zip(joiners, beliefs):
-            slot, did_explore = choose_slot(agents[k], int(belief_idx), rng, cfg.c1, cfg.c2)
-            arrivals.append((int(k), slot))
+        for k, b in zip(joiners.tolist(), beliefs.tolist()):
+            slot, did_explore = choose_slot(wbar[k, b], visits[k, b], rng, cfg.c1, cfg.c2)
+            arrivals.append((k, slot))
             explored[day] += did_explore
             decisions[day] += 1
         waits = simulate_day(arrivals, services[mode], cfg.tau, rng)
-        for (k, slot), belief_idx, wait in zip(arrivals, beliefs, waits):
-            agents[k].record(int(belief_idx), slot, float(wait))
-    visits = np.stack([a.visits for a in agents])
+        for (k, slot), b, wait in zip(arrivals, beliefs.tolist(), waits.tolist()):
+            visits[k, b, slot] += 1
+            wbar[k, b, slot] += (wait - wbar[k, b, slot]) / visits[k, b, slot]
     totals = visits.sum(axis=2, keepdims=True)
     freq = np.divide(visits, totals, out=np.zeros(visits.shape), where=totals > 0)
     contributing = np.count_nonzero(totals[..., 0], axis=0)
     per_belief = np.maximum(contributing, 1)[:, None]
     pbar = freq.sum(axis=0) / per_belief
-    freq_wait = (freq * np.stack([a.wbar for a in agents])).sum(axis=0) / per_belief
+    freq_wait = (freq * wbar).sum(axis=0) / per_belief
     slot_mean = np.divide(freq_wait, pbar, out=np.zeros_like(freq_wait), where=pbar > 0)
     wbar_pop = freq_wait.sum(axis=1)
     return AbmResult(pbar, wbar_pop, slot_mean, explored, decisions, cfg.days, contributing)

@@ -13,9 +13,9 @@ there (``passed``).
 Exit codes: 0 success, 2 scenario parse/validation error, 3 solver
 non-convergence (outputs still written), 4 invalid model parameters,
 including a NaN or infinite population, a NaN or infinite ``[solver]``
-value, a fluid ``grid_n`` below 2 and a model past the workload
-kernel's support budget (no outputs written), 5 numerical failure of
-the solver (no outputs written).
+value or ``[abm]`` sigmoid parameter, a fluid ``grid_n`` below 2 and a
+model past the workload kernel's support budget (no outputs written), 5
+numerical failure of the solver (no outputs written).
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
     tag = tags[0] if wanted == "auto" else wanted
     eq = fluid_mod.solve_case(params, tag)
     grid_n = scn.get("fluid", "grid_n", int, 1001)
-    check = fluid_mod.verify_fluid(params, eq, grid_n)
+    violation = fluid_mod.verify_fluid(params, eq, grid_n)
     grid = fluid_mod._verification_grid(eq, grid_n)
     outputs["cdf.csv"] = _csv_lines(
         ["time", "F_a", "F_b"], [grid, eq.cdf("a", grid), eq.cdf("b", grid)]
@@ -234,7 +234,7 @@ def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
         ("atom_b", eq.atom_b),
         ("q0", eq.q0),
         ("non_unique", eq.non_unique),
-        ("verify.max_violation", check.max_violation),
+        ("verify.max_violation", violation),
     ]
     for side in ("a", "b"):
         for i, seg in enumerate(eq.segments(side)):

@@ -129,22 +129,6 @@ class Pmf:
     def mean(self) -> float:
         return float(np.arange(self.mass.size) @ self.mass)
 
-    def variance(self) -> float:
-        k = np.arange(self.mass.size)
-        m = float(k @ self.mass)
-        return max(0.0, float((k * k) @ self.mass) - m * m)
-
-
-def moments(f: Pmf) -> tuple[float, float, float]:
-    """Mean, variance and coefficient of variation on the truncated support."""
-    m = f.mean()
-    v = f.variance()
-    if m > 0.0:
-        cv = math.sqrt(v) / m
-    else:
-        cv = 0.0 if v == 0.0 else math.inf
-    return m, v, cv
-
 
 def convolve(f: Pmf, g: Pmf) -> Pmf:
     """Distribution of the sum of two independent lattice variables."""

@@ -61,7 +61,6 @@ class Segment:
 
 @dataclass(frozen=True)
 class FluidEquilibrium:
-    case_tag: str
     horizon: float
     atom_a: float
     atom_b: float
@@ -171,49 +170,36 @@ def solve_case(params: FluidParams, tag: str) -> FluidEquilibrium:
     )
     x1, x2, x3, x4 = thresholds(params)
     if tag == "i":
-        return FluidEquilibrium("i", T, 1.0, 1.0, (), (), (la + lb) / 2.0)
+        return FluidEquilibrium(T, 1.0, 1.0, (), (), (la + lb) / 2.0)
     if tag == "ii":
         atom_b = (2.0 * mb / lb) * (x2 - T)
         t_b = (la + lb * atom_b) / (2.0 * mb)
         seg_b = Segment(t_b, T, mb / lb)
-        return FluidEquilibrium("ii", T, 1.0, atom_b, (), (seg_b,), (la + lb * atom_b) / 2.0)
+        return FluidEquilibrium(T, 1.0, atom_b, (), (seg_b,), (la + lb * atom_b) / 2.0)
     if tag == "iii":
         t_b = T - lb / mb
         seg_b = Segment(t_b, T, mb / lb)
-        return FluidEquilibrium("iii", T, 1.0, 0.0, (), (seg_b,), la / 2.0)
+        return FluidEquilibrium(T, 1.0, 0.0, (), (seg_b,), la / 2.0)
     if tag == "iv":
         atom_a = (2.0 * ma / la) * (x4 - T)
         t_a = la * atom_a / (2.0 * ma)
         t_b = T - lb / mb
         segs_a = (Segment(t_a, t_b, ma / la),) if t_a < t_b else ()
         seg_b = Segment(t_b, T, mb / lb)
-        return FluidEquilibrium("iv", T, atom_a, 0.0, segs_a, (seg_b,), la * atom_a / 2.0)
+        return FluidEquilibrium(T, atom_a, 0.0, segs_a, (seg_b,), la * atom_a / 2.0)
     if tag == "v":
         sol = _case_v_solution(params)
         atom_a, k, t_a, t_b = sol
         segs_a = (Segment(t_a, T, ma / la),) if t_a < T else ()
         return FluidEquilibrium(
-            "v", T, atom_a, 0.0, segs_a, (Segment(t_b, t_a, k),), la * atom_a / 2.0,
+            T, atom_a, 0.0, segs_a, (Segment(t_b, t_a, k),), la * atom_a / 2.0,
             non_unique=True,
         )
     # vi: fully degenerate, queue never forms under either belief
     t_split = la / ma
     seg_a = Segment(0.0, t_split, ma / la)
     seg_b = Segment(t_split, t_split + lb / mb, mb / lb)
-    return FluidEquilibrium("vi", T, 0.0, 0.0, (seg_a,), (seg_b,), 0.0, non_unique=True)
-
-
-@dataclass(frozen=True)
-class FluidCheck:
-    """Grid verification outcome: deviation from constancy on each support
-    plus the worst off-support improvement; both fold into max_violation."""
-
-    max_violation: float
-    support_spread_a: float
-    support_spread_b: float
-    offsupport_violation_a: float
-    offsupport_violation_b: float
-    grid_n: int
+    return FluidEquilibrium(T, 0.0, 0.0, (seg_a,), (seg_b,), 0.0, non_unique=True)
 
 
 def _verification_grid(eq: FluidEquilibrium, grid_n: int) -> np.ndarray:
@@ -249,25 +235,27 @@ def _support_mask(eq: FluidEquilibrium, side: str, grid: np.ndarray) -> np.ndarr
     return mask
 
 
-def verify_fluid(params: FluidParams, eq: FluidEquilibrium, grid_n: int = 10_000) -> FluidCheck:
-    """Check the equilibrium conditions on a grid.
+def verify_fluid(params: FluidParams, eq: FluidEquilibrium, grid_n: int = 10_000) -> float:
+    """Check the equilibrium conditions on a grid and return the worst
+    violation.
 
     For each belief the faced queue must be constant across the strategy's
-    support and no smaller anywhere else; the returned ``max_violation``
-    is the worst deviation over both beliefs.
+    support and no smaller anywhere else. The violation is the larger, over
+    both beliefs, of the support spread (max - min of the faced queue on
+    the support) and the off-support gain (how far the faced queue off the
+    support falls below its minimum on the support).
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     grid = _verification_grid(eq, grid_n)
-    spreads = {}
-    offs = {}
+    worst = 0.0
     for side in ("a", "b"):
         faced = _faced_queue(params, eq, side, grid)
         mask = _support_mask(eq, side, grid)
         on = faced[mask]
-        spreads[side] = float(on.max() - on.min()) if on.size else 0.0
+        spread = float(on.max() - on.min()) if on.size else 0.0
         ref = float(on.min()) if on.size else 0.0
         off = faced[~mask]
-        offs[side] = float(max(0.0, (ref - off).max())) if off.size else 0.0
-    worst = max(spreads["a"], spreads["b"], offs["a"], offs["b"])
-    return FluidCheck(worst, spreads["a"], spreads["b"], offs["a"], offs["b"], grid.size)
+        gain = float(max(0.0, (ref - off).max())) if off.size else 0.0
+        worst = max(worst, spread, gain)
+    return worst

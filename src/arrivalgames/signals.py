@@ -51,14 +51,14 @@ class SignalParams:
 
 @dataclass(frozen=True)
 class PosteriorView:
-    """What a customer with a given signal believes about the system.
+    """What a customer with a given signal believes about the system; the
+    view of signal a comes first in the pair ``posterior_views`` returns.
 
     ``nu``: mean counts of (signal-a, signal-b) customers among the others;
     ``eta``: posterior mode weights (slow, fast); ``z``: posterior service
     mixture; ``zeta``: its mean.
     """
 
-    signal: str
     nu: tuple[float, float]
     eta: tuple[float, float]
     z: ServiceDist
@@ -101,6 +101,6 @@ def posterior_views(params: SignalParams) -> tuple[PosteriorView, PosteriorView]
     zeta_a = eta_a[0] * params.x_a.chi + eta_a[1] * params.x_b.chi
     zeta_b = eta_b[0] * params.x_a.chi + eta_b[1] * params.x_b.chi
     return (
-        PosteriorView("a", nu_a, eta_a, z_a, zeta_a),
-        PosteriorView("b", nu_b, eta_b, z_b, zeta_b),
+        PosteriorView(nu_a, eta_a, z_a, zeta_a),
+        PosteriorView(nu_b, eta_b, z_b, zeta_b),
     )

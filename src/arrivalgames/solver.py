@@ -27,6 +27,7 @@ from .workload import (
     SlotGame,
     WorkloadStepper,
     _as_probs,
+    _count,
     workload_profile,
 )
 
@@ -47,13 +48,13 @@ _DRIFT_ABS = 1e-9
 _EXACT_SPAN = 0.5
 
 
-def _check_search(eps: float, max_bisect: int) -> None:
+def _check_search(eps: float, max_bisect: int) -> int:
     """A best response's search needs a finite positive ``eps`` and a
-    ``max_bisect`` of at least 1, else ``ValueError`` (NaN included)."""
+    positive integer ``max_bisect``, else ``ValueError`` (NaN and infinity
+    included). Returns ``max_bisect`` as an int."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not max_bisect >= 1:
-        raise ValueError(f"max_bisect must be at least 1, got {max_bisect!r}")
+    return _count(max_bisect, "max_bisect")
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,9 @@ class SolverConfig:
     accepted (200 eps), so converged output always verifies at stall_tol.
     ``max_bisect`` caps the steps of each best response's search on w̄:
     its fills, and the one look-up of the bracket's lower end when a
-    search needs it. It must be at least 1; past it the search raises
-    ``NumericFailure``. ``max_outer`` must be at least 1. A setting out of
-    range, NaN included, raises ``ValueError``.
+    search needs it; past it the search raises ``NumericFailure``. Both
+    caps must be positive integers (integral floats pass and are stored as
+    ints). A setting out of range, NaN included, raises ``ValueError``.
     """
 
     eps: float = 1e-5
@@ -79,11 +80,10 @@ class SolverConfig:
     max_bisect: int = 200
 
     def __post_init__(self):
-        _check_search(self.eps, self.max_bisect)
+        object.__setattr__(self, "max_bisect", _check_search(self.eps, self.max_bisect))
         if not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
-        if not self.max_outer >= 1:
-            raise ValueError("max_outer must be at least 1")
+        object.__setattr__(self, "max_outer", _count(self.max_outer, "max_outer"))
 
     @property
     def verify_tol(self) -> float:
@@ -353,14 +353,14 @@ def best_response(
     ``ArrivalStrategy``, must have ``game.n_slots`` finite entries, none
     below -1e-12, else ``InvalidStrategyError``; its mass is not checked,
     so ``np.zeros(n)`` stands for an absent opponent. ``belief`` must be
-    "a" or "b", ``eps`` positive and finite and ``max_bisect`` at least 1,
-    else ``ValueError``.
+    "a" or "b", ``eps`` positive and finite and ``max_bisect`` a positive
+    integer, else ``ValueError``.
     ``stats``, when given, accumulates the monotonicity violations and
     carries this type's last w̄ (key ``"wbar_<belief>"``) and the last
     secant slope of its mass in w̄ (key ``"slope_<belief>"``) from one
     call to the next, as the search's first fill and first Newton step.
     """
-    _check_search(eps, max_bisect)
+    max_bisect = _check_search(eps, max_bisect)
     engine = _ResponseEngine(game, belief, _as_probs(p_minus, game.n_slots, math.inf))
     if engine.lam_own == 0.0:
         # A vanishing population does not move the queue: its members all

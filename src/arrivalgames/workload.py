@@ -36,12 +36,19 @@ class InvalidStrategyError(ValueError):
     """Arrival strategy is not a probability vector within tolerance."""
 
 
-def _check_slots(tau, n_slots) -> None:
-    """Slot length and slot count must be positive integers (integral
-    floats pass), else ``ValueError``, also for NaN and infinity."""
-    for name, value in (("slot length", tau), ("slot count", n_slots)):
-        if not (value >= 1 and float(value).is_integer()):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _count(value, name: str) -> int:
+    """``value`` as an int, if it is a positive integer (integral floats
+    pass), else ``ValueError``, also for NaN and infinity."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_counts(obj, **names: str) -> None:
+    """Store each given field of the frozen dataclass ``obj`` as an int
+    through ``_count``; the keyword's value names the field in errors."""
+    for field, name in names.items():
+        object.__setattr__(obj, field, _count(getattr(obj, field), name))
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class SlotGame:
     def __post_init__(self):
         if not all(0.0 <= lam < math.inf for lam in (self.lam_a, self.lam_b)):
             raise ValueError("population means must be finite and nonnegative")
-        _check_slots(self.tau, self.n_slots)
+        _check_counts(self, tau="slot length", n_slots="slot count")
 
     def service(self, belief: str) -> ServiceDist:
         return (self.x_a, self.x_b)[_side(belief)]
@@ -215,15 +222,13 @@ class WorkloadStepper:
 
 @dataclass(frozen=True)
 class WorkloadProfile:
-    """Per-slot workload laws, their means, and expected waits under one
-    belief, for a fixed pair of arrival strategies.
+    """Per-slot mean workloads and expected waits under one belief, for a
+    fixed pair of arrival strategies.
 
-    ``ev`` holds the direct pmf means, ``ev_telescoped`` the running-sum
-    form; the two agree up to truncation dust.
+    ``ev`` holds the direct means of the workload laws, ``ev_telescoped``
+    the running-sum form; the two agree up to truncation dust.
     """
 
-    belief: str
-    v: tuple[Pmf, ...]
     ev: np.ndarray
     ev_telescoped: np.ndarray
     w: np.ndarray
@@ -236,18 +241,17 @@ def workload_profile(
     belief: str,
     mass_tol: float = 1e-6,
 ) -> WorkloadProfile:
-    """Workload law, mean workload and expected wait for every slot."""
+    """Mean workload, in both forms, and expected wait for every slot."""
     pa = _as_probs(p_a, game.n_slots, mass_tol)
     pb = _as_probs(p_b, game.n_slots, mass_tol)
     loads = game.lam_a * pa + game.lam_b * pb
     stepper = WorkloadStepper(game.service(belief), game.tau)
     state = stepper.initial()
-    vs, evs, tels, ws = [], [], [], []
+    evs, tels, ws = [], [], []
     for t in range(game.n_slots):
-        vs.append(Pmf(state.v, state.tail))
         evs.append(state.ev)
         tels.append(state.ev_tel)
         ws.append(stepper.wait(state, loads[t]))
         if t + 1 < game.n_slots:
             state = stepper.advance(state, loads[t])
-    return WorkloadProfile(belief, tuple(vs), np.array(evs), np.array(tels), np.array(ws))
+    return WorkloadProfile(np.array(evs), np.array(tels), np.array(ws))

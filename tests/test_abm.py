@@ -6,7 +6,6 @@ import pytest
 
 from arrivalgames.abm import (
     AbmConfig,
-    AgentState,
     _path_dominates,
     _queue_lengths,
     _workload_path,
@@ -59,14 +58,19 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta(-1, 1.0, 0.005)
 
+    @pytest.mark.parametrize("c1, c2", [(math.nan, 0.005), (1.0, math.nan), (math.inf, 0.005), (1.0, math.inf)])
+    def test_rejects_non_finite_params(self, c1, c2):
+        with pytest.raises(ValueError, match="sigmoid"):
+            theta(1, c1, c2)
+
 
 class TestChooseSlot:
     def test_fresh_agent_uniform(self):
         rng = np.random.default_rng(0)
-        agent = AgentState.fresh(4)
+        wbar, visits = np.zeros(4), np.zeros(4, dtype=np.int64)
         counts = np.zeros(4)
         for _ in range(20_000):
-            slot, explored = choose_slot(agent, 0, rng, 1.0, 0.005)
+            slot, explored = choose_slot(wbar, visits, rng, 1.0, 0.005)
             assert explored
             counts[slot] += 1
         expected = 5000.0
@@ -75,20 +79,20 @@ class TestChooseSlot:
 
     def test_exploiting_agent_picks_minimum(self):
         rng = np.random.default_rng(1)
-        agent = AgentState.fresh(6)
-        agent.wbar[0] = np.array([5.0, 4.0, 3.0, 0.5, 4.0, 5.0])
-        agent.visits[0, 0] = 10**9
-        picks = [choose_slot(agent, 0, rng, 1.0, 0.005)[0] for _ in range(1000)]
+        wbar = np.array([5.0, 4.0, 3.0, 0.5, 4.0, 5.0])
+        visits = np.zeros(6, dtype=np.int64)
+        visits[0] = 10**9
+        picks = [choose_slot(wbar, visits, rng, 1.0, 0.005)[0] for _ in range(1000)]
         assert np.mean(np.array(picks) == 3) > 0.99
 
     def test_tie_break_uniform(self):
         rng = np.random.default_rng(2)
-        agent = AgentState.fresh(5)
-        agent.visits[1, 0] = 10**9
+        wbar, visits = np.zeros(5), np.zeros(5, dtype=np.int64)
+        visits[0] = 10**9
         counts = np.zeros(5)
         draws = 100_000
         for _ in range(draws):
-            slot, explored = choose_slot(agent, 1, rng, 1.0, 0.005)
+            slot, explored = choose_slot(wbar, visits, rng, 1.0, 0.005)
             counts[slot] += 1
         sigma = math.sqrt(draws * 0.2 * 0.8)
         assert np.max(np.abs(counts - draws / 5)) <= 3 * sigma
@@ -146,6 +150,20 @@ class TestRunAbm:
     def test_rejects_bad_slot_structure(self, field, value):
         with pytest.raises(ValueError, match="slot"):
             small_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("c1", math.nan, "sigmoid"), ("c2", math.nan, "sigmoid"), ("c1", math.inf, "sigmoid"),
+         ("c2", 0.0, "sigmoid"), ("days", 2.5, "day count"), ("days", math.nan, "day count"),
+         ("days", 0, "day count"), ("pool", 12.5, "agent pool"), ("pool", math.nan, "agent pool")],
+    )
+    def test_rejects_bad_learning_settings(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            small_cfg(**{field: value})
+
+    def test_integral_float_counts_run(self):
+        res = run_abm(small_cfg(pool=12.0, days=20.0, tau=3.0, n_slots=5.0))
+        assert np.array_equal(res.pbar, run_abm(small_cfg(days=20)).pbar)
 
     def test_cdf_rejects_unknown_belief(self):
         res = run_abm(small_cfg(days=20))

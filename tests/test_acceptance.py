@@ -121,8 +121,8 @@ def test_criterion_3_fluid_solutions():
         params = FluidParams(1.0, 2.0, 1.0, mu_b, 1.0)
         for tag in classify(params):
             eq = solve_case(params, tag)
-            check = verify_fluid(params, eq, 10_000)
-            assert check.max_violation <= 1e-9, (mu_b, tag, check)
+            violation = verify_fluid(params, eq, 10_000)
+            assert violation <= 1e-9, (mu_b, tag, violation)
     eq = solve_case(FluidParams(1.0, 2.0, 1.0, 2.0, 1.0), "ii")
     assert eq.atom_b == 0.5
     assert eq.segments_b[0].start == 0.5

@@ -132,6 +132,14 @@ class TestScenarioParsing:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", ["abm.c1=nan", "abm.c2=nan", "abm.c1=inf"])
+    def test_non_finite_sigmoid_exits_4_without_outputs(self, tmp_path, capsys, override):
+        path = write(tmp_path, ABM_SCENARIO)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out), "--override", override]) == EXIT_INVALID_PARAMS
+        assert "sigmoid" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid_n", [0, 1])
     def test_fluid_grid_needs_two_points(self, tmp_path, capsys, grid_n):
         path = write(tmp_path, FLUID_SCENARIO.replace("grid_n = 21", f"grid_n = {grid_n}"))

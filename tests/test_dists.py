@@ -13,8 +13,19 @@ from arrivalgames.dists import (
     make_geometric,
     make_geometric_mixture,
     mix_services,
-    moments,
 )
+
+
+def moments(f: Pmf) -> tuple[float, float, float]:
+    """Mean, variance and coefficient of variation on the truncated support."""
+    k = np.arange(f.mass.size)
+    m = f.mean()
+    v = max(0.0, float((k * k) @ f.mass) - m * m)
+    if m > 0.0:
+        cv = math.sqrt(v) / m
+    else:
+        cv = 0.0 if v == 0.0 else math.inf
+    return m, v, cv
 
 
 def brute_force_compound(lam: float, jump: np.ndarray, k_max: int, n_max: int = 60) -> np.ndarray:

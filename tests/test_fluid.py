@@ -173,19 +173,17 @@ class TestCdf:
 class TestVerify:
     def test_case_i_exact(self):
         p = fig2_params(1.5)
-        assert verify_fluid(p, solve_case(p, "i"), 2000).max_violation == 0.0
+        assert verify_fluid(p, solve_case(p, "i"), 2000) == 0.0
 
     def test_closed_forms_verify(self):
         for mu_b, tag in ((2.0, "ii"), (4.0, "iii"), (8.0, "iv")):
             p = fig2_params(mu_b)
-            chk = verify_fluid(p, solve_case(p, tag), 5000)
-            assert chk.max_violation <= 1e-9
+            assert verify_fluid(p, solve_case(p, tag), 5000) <= 1e-9
 
     def test_negative_control(self):
         p = fig2_params(2.0)
         eq = solve_case(p, "ii")
         shifted = FluidEquilibrium(
-            "ii",
             eq.horizon,
             eq.atom_a,
             eq.atom_b,
@@ -193,7 +191,7 @@ class TestVerify:
             (Segment(0.55, 1.0, eq.segments_b[0].density),),
             eq.q0,
         )
-        assert verify_fluid(p, shifted, 2000).max_violation > 0.01
+        assert verify_fluid(p, shifted, 2000) > 0.01
 
     def test_all_classified_tags_verify(self):
         rng = np.random.default_rng(23)
@@ -205,7 +203,7 @@ class TestVerify:
             T = rng.uniform(0.05, 1.5) * thresholds(FluidParams(la, lb, ma, mb, 1))[3]
             p = FluidParams(la, lb, ma, mb, T)
             for tag in classify(p):
-                chk = verify_fluid(p, solve_case(p, tag), 3000)
-                assert chk.max_violation <= 1e-9, (p, tag, chk)
+                violation = verify_fluid(p, solve_case(p, tag), 3000)
+                assert violation <= 1e-9, (p, tag, violation)
                 checked += 1
         assert checked >= 40

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from arrivalgames import solver
 from arrivalgames.dists import (
     NumericFailure,
+    Pmf,
     make_deterministic,
     make_geometric,
     make_geometric_mixture,
@@ -346,6 +347,25 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="max_outer"):
             SolverConfig(max_outer=0)
 
+    @pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+    def test_caps_must_be_integers(self, value):
+        for field in ("max_outer", "max_bisect"):
+            with pytest.raises(ValueError, match=field):
+                SolverConfig(**{field: value})
+        g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
+        minus = ArrivalStrategy.uniform(5).probs
+        with pytest.raises(ValueError, match="max_bisect"):
+            best_response(minus, g, "a", EPS, max_bisect=value)
+
+    def test_integral_float_caps_are_stored_as_ints(self):
+        cfg = SolverConfig(max_outer=60.0, max_bisect=200.0)
+        assert (cfg.max_outer, cfg.max_bisect) == (60, 200)
+        assert type(cfg.max_outer) is int and type(cfg.max_bisect) is int
+        g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
+        minus = ArrivalStrategy.uniform(5).probs
+        want = best_response(minus, g, "a", EPS)
+        assert np.array_equal(best_response(minus, g, "a", EPS, max_bisect=200.0), want)
+
     @pytest.mark.parametrize(
         "field, value",
         [("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("delta", math.nan),
@@ -660,6 +680,23 @@ class TestVerifyEquilibrium:
         rep = verify_equilibrium(g, u, u, tol=1e-3)
         assert not rep.passes(1e-3)
         assert rep.max_support_spread > 1.0
+
+    def test_builds_no_checked_pmf(self, monkeypatch):
+        # Verification reads the workload states' arrays: checked Pmf
+        # objects are built only at the API boundary.
+        g = SlotGame(5.0, 5.0, 3, 20, make_geometric(4), make_geometric(2))
+        u = ArrivalStrategy.uniform(20)
+        built = []
+        post_init = Pmf.__post_init__
+
+        def counted(pmf):
+            built.append(len(pmf.mass))
+            post_init(pmf)
+
+        monkeypatch.setattr(Pmf, "__post_init__", counted)
+        rep = verify_equilibrium(g, u, u, tol=1e-3)
+        assert built == []
+        assert rep.wbar_a > rep.wbar_b > 0.0
 
 
 class TestSolveFr:

@@ -67,22 +67,52 @@ def test_beliefs_are_compared_in_signals_only():
 
 
 def test_public_surface_is_pinned():
-    # A new public name or solver setting shows in a diff as an edit of
-    # this test.
+    # A new public name, solver setting or result field shows in a diff
+    # as an edit of this test.
     assert sorted(arrivalgames.__all__) == [
-        "AbmConfig", "AbmResult", "AgentState", "ArrivalStrategy",
+        "AbmConfig", "AbmResult", "ArrivalStrategy",
         "DEFAULT_TAIL_TOL", "DominanceReport", "EquilibriumReport",
-        "FluidCheck", "FluidEquilibrium", "FluidParams", "InvalidCaseError",
+        "FluidEquilibrium", "FluidParams", "InvalidCaseError",
         "InvalidStrategyError", "NumericFailure", "Pmf", "PosteriorView",
         "Segment", "ServiceDist", "SignalParams", "SlotGame", "SolverConfig",
         "SupportBudgetError", "WorkloadProfile", "WorkloadStepper",
         "best_response", "choose_slot", "classify", "compound_poisson",
         "conditional_split", "convolve", "coupled_dominance",
         "iterated_best_response", "make_deterministic", "make_geometric",
-        "make_geometric_mixture", "mix_services", "moments",
+        "make_geometric_mixture", "mix_services",
         "posterior_views", "run_abm", "signal_marginals", "simulate_day",
         "solve_case", "solve_fr", "thresholds", "verify_equilibrium",
         "verify_fluid", "workload_profile",
     ]
-    fields = [f.name for f in dataclasses.fields(SolverConfig)]
-    assert fields == ["eps", "delta", "max_outer", "max_bisect"]
+    fields = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (
+            SolverConfig,
+            arrivalgames.EquilibriumReport,
+            arrivalgames.WorkloadProfile,
+            arrivalgames.FluidEquilibrium,
+            arrivalgames.PosteriorView,
+            arrivalgames.AbmResult,
+            arrivalgames.DominanceReport,
+        )
+    }
+    assert fields == {
+        "SolverConfig": ["eps", "delta", "max_outer", "max_bisect"],
+        "EquilibriumReport": [
+            "wbar_a", "wbar_b", "support_a", "support_b", "max_support_spread",
+            "max_offsupport_violation", "iterations", "converged", "stalled",
+            "monotonicity_violations", "tol", "passed",
+        ],
+        "WorkloadProfile": ["ev", "ev_telescoped", "w"],
+        "FluidEquilibrium": [
+            "horizon", "atom_a", "atom_b", "segments_a", "segments_b", "q0", "non_unique",
+        ],
+        "PosteriorView": ["nu", "eta", "z", "zeta"],
+        "AbmResult": [
+            "pbar", "wbar_pop", "slot_mean_wait", "explored", "decisions", "days",
+            "contributing",
+        ],
+        "DominanceReport": [
+            "dominance_holds", "paths_checked", "violating_paths", "max_workload_gap",
+        ],
+    }

@@ -148,7 +148,13 @@ class TestDualMeanAgreement:
             pb = rng.dirichlet(np.ones(n))
             for belief in "ab":
                 prof = workload_profile(g, pa, pb, belief, mass_tol=1e-9)
-                k_max = max(len(v) for v in prof.v)
+                # The longest workload law, from the states the profile walks.
+                stepper = WorkloadStepper(g.service(belief), tau)
+                state = stepper.initial()
+                k_max = state.v.size
+                for load in (g.lam_a * pa + g.lam_b * pb)[:-1]:
+                    state = stepper.advance(state, load)
+                    k_max = max(k_max, state.v.size)
                 tol = 10 * 1e-12 * max(k_max, 1)
                 assert np.max(np.abs(prof.ev - prof.ev_telescoped)) <= tol
 
