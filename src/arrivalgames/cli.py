@@ -288,8 +288,8 @@ def _abm_config(scn: Scenario, sig: SignalParams, tau: int, n_slots: int) -> abm
         x_b=sig.x_b,
         tau=tau,
         n_slots=n_slots,
-        c1=scn.get("abm", "c1", float, 1.0),
-        c2=scn.get("abm", "c2", float, 0.005),
+        c1=scn.get("abm", "c1", float, abm_mod.AbmConfig.c1),
+        c2=scn.get("abm", "c2", float, abm_mod.AbmConfig.c2),
         seed=scn.seed,
     )
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import _side
+from .workload import _count
 
 CASE_TAGS = ("i", "ii", "iii", "iv", "v", "vi")
 
@@ -243,8 +244,10 @@ def verify_fluid(params: FluidParams, eq: FluidEquilibrium, grid_n: int = 10_000
     support and no smaller anywhere else. The violation is the larger, over
     both beliefs, of the support spread (max - min of the faced queue on
     the support) and the off-support gain (how far the faced queue off the
-    support falls below its minimum on the support).
+    support falls below its minimum on the support). ``grid_n`` must be
+    an integer of at least 2 (integral floats pass), else ``ValueError``.
     """
+    grid_n = _count(grid_n, "grid_n")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     grid = _verification_grid(eq, grid_n)

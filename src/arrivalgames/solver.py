@@ -68,10 +68,10 @@ class SolverConfig:
     ``stall_tol`` is the looser gate at which a stalled alternation is
     accepted (200 eps), so converged output always verifies at stall_tol.
     ``max_bisect`` caps the steps of each best response's search on w̄:
-    its fills, and the one look-up of the bracket's lower end when a
-    search needs it; past it the search raises ``NumericFailure``. Both
-    caps must be positive integers (integral floats pass and are stored as
-    ints). A setting out of range, NaN included, raises ``ValueError``.
+    its fills and the one step that sets its bracket's lower end at 0;
+    past it the search raises ``NumericFailure``. Both caps must be
+    positive integers (integral floats pass and are stored as ints). A
+    setting out of range, NaN included, raises ``ValueError``.
     """
 
     eps: float = 1e-5
@@ -127,8 +127,8 @@ class _ResponseEngine:
     """Workload bookkeeping for one responding type against a fixed
     opponent profile.
 
-    Keeps the own-mass-zero prefix states cached, so every fill replays
-    only the slots from its first slot with mass on.
+    Keeps the own-mass-zero prefix states cached: every fill walks them
+    to its first slot with mass and replays only the slots from there on.
 
     A drift bound, built once per response from the opponent's loads,
     rules slots out without stepping to them. A step's workload mean obeys
@@ -174,60 +174,37 @@ class _ResponseEngine:
             )
         return self._prefix[t]
 
-    def own_zero_wait(self, t: int) -> float:
-        return self.stepper.wait(self.prefix_state(t), self.other_load[t])
-
     def _rest(self, t: int, ev: float, wbar: float) -> float:
         """From a state of mean ``ev`` at slot t, a later slot s can have an
         own-zero wait below wbar only if ``reach[s] + chi/2 other_load[s]``
         is below this; no later slot can once ``later[t]`` is not."""
         return wbar - self._shrink * ev + self._reach[t]
 
-    def first_slot(self, wbar: float, start: int = 0) -> int:
-        """The first slot from ``start`` on whose own-zero wait is below
-        wbar, or n. No wait is negative, and the scan stops once the drift
-        bound rules out every later slot."""
-        if wbar <= 0.0:
-            return self.n
-        for t in range(start, self.n):
-            if self.own_zero_wait(t) < wbar:
-                return t
-            if self._later[t] >= self._rest(t, self.prefix_state(t).ev, wbar):
-                break
-        return self.n
-
-    def min_own_zero_wait(self) -> tuple[float, int]:
-        """The smallest own-zero wait and the first slot with it, found by
-        scanning for a slot below the least one so far."""
-        t = 0
-        while t < self.n:
-            best, slot = self.own_zero_wait(t), t
-            t = self.first_slot(best, t + 1)
-        return best, slot
-
     def fill(self, wbar: float, mass_cap: float) -> tuple[np.ndarray, float]:
         """Fill every slot from the fixed-point formula at equilibrium wait wbar.
 
         Each slot receives whatever probability brings its wait up to
         wbar, clipped at zero; slots before the first one whose own-zero
-        wait is below wbar stay empty, so the fill starts there from the
-        cached prefix state. Stops early once total mass exceeds
+        wait is below wbar stay empty, so the fill walks the cached prefix
+        states to it and starts there. Stops early once total mass exceeds
         ``mass_cap``, so a returned mass at or below the cap means the fill
         ran to the horizon.
 
         The drift bound of the class, E[(V + A - tau)^+] >= E[V] + m E[N]
         - tau less its margin for truncation dust, skips slots that take
-        exactly no mass: the fill ends once no later slot's floor is below
-        wbar, and a run of slots without opponent load whose floors are at
-        or above wbar is crossed with one multi-slot drain.
+        exactly no mass: the walk or the fill ends once no later slot's
+        floor is below wbar, and a run of slots without opponent load whose
+        floors are at or above wbar is crossed with one multi-slot drain.
         """
         p = np.zeros(self.n)
         mass = 0.0
-        t = self.first_slot(wbar)
-        if t == self.n:
-            return p, mass
-        state = self.prefix_state(t)
         lam, other, later, reach = self.lam_own, self.other_load, self._later, self._reach
+        t, state = 0, self.prefix_state(0)
+        while self.stepper.wait(state, other[t]) >= wbar:
+            if later[t] >= self._rest(t, state.ev, wbar):
+                return p, mass
+            t += 1
+            state = self.prefix_state(t)
         while True:
             raw = (2.0 / self.chi) * (wbar - state.ev) - other[t]
             p[t] = max(0.0, raw / lam)
@@ -267,8 +244,8 @@ def _search_wbar(
     previous search). A step may extrapolate into a side of the bracket
     that is still open. The search
     falls back when a step leaves the bracket, when there is none, or
-    when |mass - 1| has not halved in two fills: to the smallest own-zero
-    wait (mass 0) while the bracket has no lower end, then to chi*lam/2
+    when |mass - 1| has not halved in two fills: to w̄ = 0 (mass 0, as no
+    wait is negative) while the bracket has no lower end, then to chi*lam/2
     above the lower end, doubling that increment, while it has no upper
     end, and to bisection once it has both. Other fills stop early only
     once their mass passes one by more than ``_EXACT_SPAN`` (or eps), so
@@ -298,11 +275,11 @@ def _search_wbar(
             stalled = len(resid) > 2 and resid[-1] > 0.5 * resid[-3]
             if stalled or not lo < w < hi:
                 if lo == -math.inf:
-                    # Mass 0 is exact at the smallest own-zero wait, which
-                    # lies below every fill that carries mass.
-                    lo, _ = engine.min_own_zero_wait()
+                    # No wait is negative, so mass 0 is exact at w̄ = 0,
+                    # which lies below every fill that carries mass.
+                    lo = 0.0
                     if last:
-                        slope = last[1] / (last[0] - lo)
+                        slope = last[1] / last[0]
                     last = (lo, m_lo)
                     continue
                 if hi == math.inf:
@@ -365,8 +342,10 @@ def best_response(
     if engine.lam_own == 0.0:
         # A vanishing population does not move the queue: its members all
         # pick the first slot with the smallest own-zero wait.
+        waits = [engine.stepper.wait(engine.prefix_state(t), load)
+                 for t, load in enumerate(engine.other_load)]
         p = np.zeros(engine.n)
-        p[engine.min_own_zero_wait()[1]] = 1.0
+        p[int(np.argmin(waits))] = 1.0
         return p
     if stats is None:
         stats = {}

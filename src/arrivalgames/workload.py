@@ -108,9 +108,6 @@ class ArrivalStrategy:
     def uniform(cls, n_slots: int) -> "ArrivalStrategy":
         return cls(np.full(n_slots, 1.0 / n_slots))
 
-    def __len__(self) -> int:
-        return self.probs.size
-
     @property
     def total(self) -> float:
         return float(self.probs.sum())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,10 @@ from arrivalgames.cli import (
     load_scenario,
     main,
 )
+from arrivalgames.dists import make_deterministic, make_geometric_mixture
+from arrivalgames.signals import SignalParams, posterior_views, signal_marginals
+from arrivalgames.solver import SolverConfig, iterated_best_response
+from arrivalgames.workload import SlotGame
 
 FLUID_SCENARIO = """
 [scenario]
@@ -83,6 +89,11 @@ def write(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def read_summary(out):
+    lines = (out / "summary.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
 
 
 def read_csv(path):
@@ -265,6 +276,25 @@ chi_b = 2
         assert "fr_a.converged = True" in summary
 
 
+class TestSignalMode:
+    def test_summary_reports_marginals_and_posteriors(self, tmp_path):
+        path = write(tmp_path, SIGNAL_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
+        marg = signal_marginals(0.5, 0.9)
+        views = posterior_views(
+            SignalParams(10.0, 0.5, 0.9, make_deterministic(4.0), make_deterministic(2.0))
+        )
+        want = {"seed": "0", "mode": "signal"}
+        want.update({f"marginal_{s}": repr(m) for s, m in zip("ab", marg)})
+        for s, view in zip("ab", views):
+            want[f"nu_{s}"] = f"{view.nu[0]!r} {view.nu[1]!r}"
+            want[f"eta_{s}"] = f"{view.eta[0]!r} {view.eta[1]!r}"
+            want[f"zeta_{s}"] = repr(view.zeta)
+        assert read_summary(out) == want
+
+
 class TestGameFields:
     # discrete_fr and abm read tau, slots and the service laws from
     # [game]; the populations come from [signal].
@@ -280,6 +310,26 @@ class TestGameFields:
             outs.append(out)
         for name in ("cdf.csv", "summary.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "fields, cv_a, cv_b",
+        [
+            ("cv_scale = 1.5", 1.5 * math.sqrt(1.0 - 1.0 / 4.0), 1.5 * math.sqrt(1.0 - 1.0 / 2.0)),
+            ("cv_a = 1.2\ncv_b = 0.9", 1.2, 0.9),
+        ],
+        ids=["cv_scale", "cv_a_cv_b"],
+    )
+    def test_mixture_service(self, tmp_path, fields, cv_a, cv_b):
+        text = BR_SCENARIO.replace("service = geometric", f"service = mixture\n{fields}")
+        path = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        game = SlotGame(
+            2.0, 2.0, 2, 6, make_geometric_mixture(4.0, cv_a), make_geometric_mixture(2.0, cv_b)
+        )
+        _, _, rep = iterated_best_response(game, SolverConfig())
+        summary = read_summary(out)
+        assert (summary["br.wbar_a"], summary["br.wbar_b"]) == (repr(rep.wbar_a), repr(rep.wbar_b))
 
     def test_summary_reports_acceptance_gate(self, tmp_path):
         path = write(tmp_path, BR_SCENARIO)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ class TestVerify:
             eq.q0,
         )
         assert verify_fluid(p, shifted, 2000) > 0.01
+
+    @pytest.mark.parametrize("grid_n", [2.5, math.nan, math.inf])
+    def test_grid_n_must_be_an_integer(self, grid_n):
+        p = fig2_params(2.0)
+        with pytest.raises(ValueError, match="grid_n"):
+            verify_fluid(p, solve_case(p, "ii"), grid_n)
+
+    def test_integral_float_grid_n_runs(self):
+        p = fig2_params(2.0)
+        eq = solve_case(p, "ii")
+        assert verify_fluid(p, eq, 1001.0) == verify_fluid(p, eq, 1001)
 
     def test_all_classified_tags_verify(self):
         rng = np.random.default_rng(23)

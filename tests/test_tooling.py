@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import arrivalgames
@@ -64,6 +65,46 @@ def test_beliefs_are_compared_in_signals_only():
         if isinstance(node, ast.Compare) and any(map(is_label, [node.left, *node.comparators]))
     ]
     assert not found, found
+
+
+def test_private_names_are_used_in_src():
+    # A private function, class or constant, and a method of a private
+    # class or a private method, is read in src/ outside its own
+    # definition; a helper that only tests read belongs in tests/.
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    def reads(node):
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        )
+
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                defined += [
+                    (t.id, node) for t in node.targets if isinstance(t, ast.Name) and private(t.id)
+                ]
+            elif isinstance(node, ast.FunctionDef) and private(node.name):
+                defined.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                if private(node.name):
+                    defined.append((node.name, node))
+                defined += [
+                    (item.name, item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__")
+                    and (private(node.name) or private(item.name))
+                ]
+    assert defined
+    total = sum(map(reads, trees), Counter())
+    unread = [f"{name}:{node.lineno}" for name, node in defined if total[name] == reads(node)[name]]
+    assert not unread, unread
 
 
 def test_public_surface_is_pinned():
