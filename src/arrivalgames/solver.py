@@ -9,7 +9,8 @@ safeguarded secant search for the w̄ whose fill carries unit mass. Within
 an outer alternation it starts with a fill at the type's previous w̄ and
 a Newton step with the last secant slope of mass in w̄. The solver
 alternates best responses between the two types until the pair stops
-moving in the sup norm. Any point the alternation converges to is an
+moving in the sup norm; a round that repeats the previous round's step
+moves the pair along that step to its next support change. Any point the alternation converges to is an
 equilibrium, which `verify_equilibrium` checks independently.
 """
 
@@ -33,8 +34,8 @@ from .workload import (
 
 # Slots with probability at or below this count as off the support.
 _MASS_FLOOR = 1e-8
-# The reported verification tolerance, and the looser gate at which a
-# stalled alternation is accepted, as multiples of eps.
+# The reported verification tolerance, and the looser gate of the stall
+# test's backstop, as multiples of eps.
 _VERIFY_SCALE = 50.0
 _STALL_SCALE = 200.0
 # Margins of the drift bound of `_ResponseEngine`: a relative loss of the
@@ -65,8 +66,9 @@ class SolverConfig:
     ``delta`` the stopping distance between successive iterates; both
     must be positive and finite.
     ``verify_tol`` is the reported verification tolerance (50 eps);
-    ``stall_tol`` is the looser gate at which a stalled alternation is
-    accepted (200 eps), so converged output always verifies at stall_tol.
+    ``stall_tol`` is the looser gate (200 eps) of the stall test, a
+    backstop that accepts an alternation whose distance has stopped
+    shrinking, so converged output always verifies at stall_tol.
     ``max_bisect`` caps the steps of each best response's search on w̄:
     its fills and the one step that sets its bracket's lower end at 0;
     past it the search raises ``NumericFailure``. Both caps must be
@@ -394,43 +396,72 @@ def verify_equilibrium(game: SlotGame, p_a, p_b, tol: float) -> EquilibriumRepor
     return report
 
 
+def _translate(
+    pair: np.ndarray, step: np.ndarray, last: np.ndarray | None, tol: float
+) -> np.ndarray:
+    """Move the strategy pair (one row per type) along a round's ``step`` to
+    the first entry that reaches zero, when the step repeats the round
+    before's, ``last``, within ``tol`` times its size; otherwise return
+    ``pair``. That entry is set to exactly 0. The step's sums are zero
+    only up to the responses' mass tolerance, so each row is rescaled to
+    unit mass."""
+    if last is None or float(np.abs(step - last).max()) > tol * float(np.abs(step).max()):
+        return pair
+    ratios = np.full(pair.shape, math.inf)
+    np.divide(pair, -step, out=ratios, where=step < 0.0)
+    first = np.unravel_index(np.argmin(ratios), pair.shape)
+    if not 0.0 < ratios[first] < math.inf:
+        return pair
+    out = np.maximum(pair + ratios[first] * step, 0.0)
+    out[first] = 0.0
+    return out / out.sum(axis=1, keepdims=True)
+
+
 def iterated_best_response(
     game: SlotGame, cfg: SolverConfig = SolverConfig()
 ) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
     """Alternate best responses from the all-at-opening start until the
     pair stops moving, then verify.
 
-    When both types keep positive mass in shared slots only their joint
-    load is pinned down, and the plain alternation can drift along that
-    continuum of near-equilibria at a roughly constant step size without
-    the iterate distance ever reaching ``delta``. A stalled distance
-    sequence therefore also stops the loop, but only once the current
-    pair independently verifies as an equilibrium at ``stall_tol``.
+    With both supports fixed, each response sets the joint load
+    lambda_a p_a + lambda_b p_b on its own support from its w̄ and the
+    earlier loads alone, so it is affine in the opponent's vector with
+    slope -lambda_opp / lambda_own. Where the supports share two or more
+    slots the two types ask for different joint loads there, and each
+    round shifts the split in those slots by the same step until a slot
+    empties: the plain alternation drifts without its distance ever
+    reaching ``delta``. So when a round's step repeats the round before's
+    within ``delta`` times its size, the pair moves along it to the first
+    entry that reaches zero, where the alternation itself would arrive.
+    Convergence is declared only by a round of responses that moves the
+    pair by less than ``delta``. The stall test stays as a backstop: a
+    distance that has not halved in 25 rounds stops the loop once the
+    current pair independently verifies at ``stall_tol``.
 
     Non-convergence within ``cfg.max_outer`` rounds is reported, not
     raised; the report's ``converged`` flag and verification numbers let
     the caller decide.
     """
-    n = game.n_slots
-    pa = np.zeros(n)
-    pa[0] = 1.0
-    pb = pa.copy()
+    pair = np.zeros((2, game.n_slots))
+    pair[:, 0] = 1.0
     # This solve's own: it carries each type's last w̄ into its next response.
     stats: dict = {}
 
     def verified(tol: float) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
-        sa, sb = ArrivalStrategy(pa).normalized(), ArrivalStrategy(pb).normalized()
+        sa, sb = ArrivalStrategy(pair[0]).normalized(), ArrivalStrategy(pair[1]).normalized()
         return sa, sb, verify_equilibrium(game, sa, sb, tol)
 
     converged = False
     stalled = False
     iterations = 0
     delta_checkpoint = math.inf
+    last = None
     for iterations in range(1, cfg.max_outer + 1):
-        pa_next = best_response(pb, game, "a", cfg.eps, cfg.max_bisect, stats)
-        pb_next = best_response(pa_next, game, "b", cfg.eps, cfg.max_bisect, stats)
-        delta = max(float(np.abs(pa_next - pa).max()), float(np.abs(pb_next - pb).max()))
-        pa, pb = pa_next, pb_next
+        pa = best_response(pair[1], game, "a", cfg.eps, cfg.max_bisect, stats)
+        pb = best_response(pa, game, "b", cfg.eps, cfg.max_bisect, stats)
+        prev, pair = pair, np.stack((pa, pb))
+        step = pair - prev
+        delta = float(np.abs(step).max())
         if delta < cfg.delta:
             converged = True
             break
@@ -443,6 +474,7 @@ def iterated_best_response(
                     stalled = True
                     break
             delta_checkpoint = delta
+        pair, last = _translate(pair, step, last, cfg.delta), step
     if not stalled:
         sa, sb, report = verified(cfg.verify_tol)
     report.iterations = iterations

@@ -88,8 +88,9 @@ PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=No
 
 
 def stall_game() -> SlotGame:
-    """A game whose alternation drifts and ends through the stall test
-    after 50 outer iterations."""
+    """A game whose types share eight slots. Its plain alternation drifts
+    by one fixed step per round and ends through the stall test after 50
+    outer iterations; the jump along that step converges in 12."""
     return SlotGame(
         0.46043044880251627, 0.23710764490245248, 2, 10,
         make_deterministic(2), make_deterministic(1),
@@ -522,13 +523,13 @@ class TestIteratedBestResponse:
         assert rep.converged and not rep.stalled
         assert rep.tol == cfg.verify_tol and rep.passed
 
-    def test_report_gate_is_stall_tol_after_a_stall(self):
+    def test_report_gate_is_stall_tol_after_a_stall(self, plain_alternation):
         cfg = SolverConfig()
         _, _, rep = iterated_best_response(stall_game(), cfg)
         assert rep.converged and rep.stalled and rep.iterations == 50
         assert rep.tol == cfg.stall_tol and rep.passed
 
-    def test_stalled_solve_verifies_once(self, monkeypatch):
+    def test_stalled_solve_verifies_once(self, monkeypatch, plain_alternation):
         # the probe that accepts the stall is the solve's report
         gates = []
         verify = solver.verify_equilibrium
@@ -547,6 +548,19 @@ class TestIteratedBestResponse:
             assert getattr(rep, field) == getattr(fresh, field), field
         assert np.array_equal(rep.support_a, fresh.support_a)
         assert np.array_equal(rep.support_b, fresh.support_b)
+
+    def test_stall_game_converges_without_stall(self, monkeypatch):
+        cfg = SolverConfig()
+        sa, sb, rep = iterated_best_response(stall_game(), cfg)
+        assert rep.converged and not rep.stalled and rep.iterations <= 12
+        assert rep.tol == cfg.verify_tol and rep.passed
+        # the stalled solve stopped at a point of the drift, whose waits
+        # differ from the end point's only by the spread it was accepted at
+        monkeypatch.setattr(solver, "_translate", lambda pair, *_: pair)
+        _, _, stalled = iterated_best_response(stall_game(), cfg)
+        assert stalled.stalled
+        assert abs(rep.wbar_a - stalled.wbar_a) <= 1e-5
+        assert abs(rep.wbar_b - stalled.wbar_b) <= 1e-5
 
     def test_warm_start_does_not_leak_between_solves(self, monkeypatch):
         # each solve carries its own w̄ guesses and slopes: solving x again
@@ -600,6 +614,59 @@ class TestIteratedBestResponse:
         assert rep.converged
 
 
+@pytest.fixture
+def plain_alternation(monkeypatch):
+    """The alternation without the jump along a repeated step."""
+    monkeypatch.setattr(solver, "_translate", lambda pair, *_: pair)
+
+
+def recorded_jumps(monkeypatch, game) -> list:
+    """The (pair, step, jumped pair) of every jump of a solve of game."""
+    jumps = []
+    translate = solver._translate
+
+    def spy(pair, step, last, tol):
+        out = translate(pair, step, last, tol)
+        if out is not pair:
+            jumps.append((pair.copy(), step.copy(), out))
+        return out
+
+    monkeypatch.setattr(solver, "_translate", spy)
+    iterated_best_response(game, SolverConfig())
+    return jumps
+
+
+class TestTranslation:
+    def test_jump_empties_an_entry_and_keeps_the_masses(self, monkeypatch):
+        jumps = recorded_jumps(monkeypatch, stall_game())
+        assert len(jumps) == 3
+        for pair, _, out in jumps:
+            assert out.min() >= 0.0
+            assert np.any((pair > 0.0) & (out == 0.0))
+            assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-8
+
+    def test_jump_lands_where_the_plain_rounds_go(self, monkeypatch):
+        # the first jump moves the pair s times the repeated step, and
+        # floor(s) plain rounds from the pair before it move it by floor(s)
+        # times the step
+        g = stall_game()
+        pair, step, out = recorded_jumps(monkeypatch, g)[0]
+        falling = step < 0.0
+        s = (pair[falling] / -step[falling]).min()
+        assert np.abs(out - (pair + s * step)).max() <= 1e-8
+        rounds = math.floor(s)
+        assert rounds >= 2
+        pb = pair[1]
+        for _ in range(rounds):
+            pa = best_response(pb, g, "a", EPS)
+            pb = best_response(pa, g, "b", EPS)
+        assert np.abs(np.stack((pa, pb)) - (pair + rounds * step)).max() <= 1e-8
+
+    def test_full_scale_deterministic_game_takes_no_jump(self, monkeypatch):
+        g = SlotGame(50.0, 50.0, 1, 240, make_deterministic(4), make_deterministic(2))
+        assert recorded_jumps(monkeypatch, g) == []
+
+
 class TestPrunedFillCost:
     def test_equilibrium_fill_steps_only_to_slots_with_mass(self):
         # the full-scale 240-slot deterministic game: type a arrives at
@@ -629,9 +696,11 @@ class TestSearchCost:
     @pytest.mark.parametrize(
         "game, iterations, most",
         [
-            # the paper's 20-slot geometric game: its 88 responses close in
-            # 284 fills (582 with the search this one replaced)
-            (SlotGame(5.0, 5.0, 3, 20, make_geometric(4), make_geometric(2)), 44, 300),
+            # the paper's 20-slot geometric game: one jump along a repeated
+            # step saves a round, and its 86 responses close in 282 fills
+            # (44 rounds and 284 fills without the jump; 582 fills with the
+            # search this one replaced)
+            (SlotGame(5.0, 5.0, 3, 20, make_geometric(4), make_geometric(2)), 43, 300),
             # the full-scale 240-slot deterministic game, whose masses form
             # a staircase in w̄: 14 responses in 87 fills (154 before)
             (SlotGame(50.0, 50.0, 1, 240, make_deterministic(4), make_deterministic(2)), 7, 92),
@@ -655,7 +724,8 @@ class TestSearchCost:
     @pytest.mark.parametrize(
         "game, most",
         [
-            # 4 819 workload steps, verification's included
+            # 4 775 workload steps, verification's included (4 819
+            # without the jump, which saves a round)
             (SlotGame(5.0, 5.0, 3, 20, make_geometric(4), make_geometric(2)), 4851),
             # 7 856; 8 234 when a scan of the own-zero prefix preceded each
             # fill and gave a cold search its lower end
@@ -679,8 +749,8 @@ class TestSearchCost:
 
 class TestExistenceBattery:
     def test_fifty_random_instances_converge_and_verify(self):
-        # converged output must verify at the documented stall_tol;
-        # most instances meet the tighter verify_tol as well
+        # every instance converges without the stall test and verifies at
+        # verify_tol, games 1, 42 and 49 too, whose types share slots
         rng = np.random.default_rng(2024)
         cfg = SolverConfig()
         failures = []
@@ -691,9 +761,7 @@ class TestExistenceBattery:
             except Exception as exc:  # log, never drop silently
                 failures.append((i, g, repr(exc)))
                 continue
-            if not (rep.converged and rep.passes(cfg.stall_tol)):
-                failures.append((i, g, rep))
-            if not rep.stalled and not rep.passes(cfg.verify_tol):
+            if not (rep.converged and not rep.stalled and rep.passes(cfg.verify_tol)):
                 failures.append((i, g, rep))
         assert not failures, failures
 
