@@ -130,7 +130,9 @@ class _ResponseEngine:
     opponent profile.
 
     Keeps the own-mass-zero prefix states cached: every fill walks them
-    to its first slot with mass and replays only the slots from there on.
+    to its first slot with mass, crossing the runs of slots without
+    opponent load that the drift bound rules out, and replays only the
+    slots from there on.
 
     A drift bound, built once per response from the opponent's loads,
     rules slots out without stepping to them. A step's workload mean obeys
@@ -156,7 +158,10 @@ class _ResponseEngine:
         other = game.other_lam(belief) * np.asarray(p_minus, dtype=float)
         self.other_load = other.tolist()
         self.stepper = WorkloadStepper(service, game.tau)
-        self._prefix = [self.stepper.initial()]
+        self._prefix = {0: self.stepper.initial()}
+        # The last slot before each slot with opponent load, or the opening.
+        last = np.maximum.accumulate(np.where(other > 0.0, np.arange(self.n), 0))
+        self._from = [0] + last[:-1].tolist()
         self.monotonicity_violations = 0
         self._shrink = 1.0 - _DRIFT_REL * (self.n + 1)
         drift = (self._shrink * service.pmf.mean()) * other - (
@@ -168,13 +173,22 @@ class _ResponseEngine:
         self._later = later[-2::-1].tolist() + [math.inf]
 
     def prefix_state(self, t: int):
-        """Workload state before slot t when the responding type never arrives."""
-        while len(self._prefix) <= t:
-            u = len(self._prefix) - 1
-            self._prefix.append(
-                self.stepper.advance(self._prefix[u], self.other_load[u])
-            )
-        return self._prefix[t]
+        """Workload state before slot t when the responding type never arrives.
+
+        One advance from the state at the last slot before t with opponent
+        load, or the opening, drains each idle run at once; as only those
+        states are stepped from, a state does not depend on which states
+        were asked for before."""
+        chain = []
+        while t not in self._prefix:
+            chain.append(t)
+            t = self._from[t]
+        state = self._prefix[t]
+        for s in reversed(chain):
+            u = state.slot
+            state = self.stepper.advance(state, self.other_load[u], s - u)
+            self._prefix[s] = state
+        return state
 
     def _rest(self, t: int, ev: float, wbar: float) -> float:
         """From a state of mean ``ev`` at slot t, a later slot s can have an
@@ -182,30 +196,40 @@ class _ResponseEngine:
         is below this; no later slot can once ``later[t]`` is not."""
         return wbar - self._shrink * ev + self._reach[t]
 
+    def _cross(self, t: int, rest: float) -> int:
+        """The first slot after t with opponent load or an own-zero floor
+        ``reach[s]`` below ``rest``: the idle slots between take no mass.
+        It lies before n when ``later[t] < rest``."""
+        s = t + 1
+        while self.other_load[s] == 0.0 and self._reach[s] >= rest:
+            s += 1
+        return s
+
     def fill(self, wbar: float, mass_cap: float) -> tuple[np.ndarray, float]:
         """Fill every slot from the fixed-point formula at equilibrium wait wbar.
 
         Each slot receives whatever probability brings its wait up to
         wbar, clipped at zero; slots before the first one whose own-zero
-        wait is below wbar stay empty, so the fill walks the cached prefix
-        states to it and starts there. Stops early once total mass exceeds
+        wait is below wbar stay empty, so the fill walks the prefix states
+        to it and starts there. Stops early once total mass exceeds
         ``mass_cap``, so a returned mass at or below the cap means the fill
         ran to the horizon.
 
         The drift bound of the class, E[(V + A - tau)^+] >= E[V] + m E[N]
         - tau less its margin for truncation dust, skips slots that take
         exactly no mass: the walk or the fill ends once no later slot's
-        floor is below wbar, and a run of slots without opponent load whose
-        floors are at or above wbar is crossed with one multi-slot drain.
+        floor is below wbar, and both cross a run of slots without
+        opponent load whose floors are at or above wbar in one drain.
         """
         p = np.zeros(self.n)
         mass = 0.0
-        lam, other, later, reach = self.lam_own, self.other_load, self._later, self._reach
+        lam, other, later = self.lam_own, self.other_load, self._later
         t, state = 0, self.prefix_state(0)
         while self.stepper.wait(state, other[t]) >= wbar:
-            if later[t] >= self._rest(t, state.ev, wbar):
+            rest = self._rest(t, state.ev, wbar)
+            if later[t] >= rest:
                 return p, mass
-            t += 1
+            t = self._cross(t, rest)
             state = self.prefix_state(t)
         while True:
             raw = (2.0 / self.chi) * (wbar - state.ev) - other[t]
@@ -217,11 +241,7 @@ class _ResponseEngine:
             rest = self._rest(t, state.ev, wbar)
             if later[t] >= rest:  # always at t = n - 1, where later is inf
                 break
-            # Some later slot's floor is below rest, and an idle slot's
-            # floor is reach[s] itself, so the crossing stops before n.
-            s = t + 1
-            while other[s] == 0.0 and reach[s] >= rest:
-                s += 1
+            s = self._cross(t, rest)
             state = self.stepper.advance(state, load, s - t)
             t = s
         return p, mass
@@ -233,6 +253,7 @@ def _search_wbar(
     max_fills: int,
     guess: float | None,
     slope: float | None = None,
+    target: float | None = None,
 ) -> tuple[np.ndarray, float, float | None]:
     """Search the equilibrium wait w̄ whose fill carries unit mass; return
     the fill, w̄ and the slope of mass in w̄ to carry to the next search.
@@ -254,12 +275,13 @@ def _search_wbar(
     fills near the root are exact and serve the secant; an early-stopped
     fill only bounds its mass from below, and monotonicity is checked
     between exact masses alone. The search stops at a mass within
-    ``eps * 1e-4`` of one, well inside the acceptance window, so that the
-    response is a stable function of its inputs. After ``max_fills``
-    steps, or once the bracket closes to float resolution, it accepts a
-    mass within eps of one or raises ``NumericFailure``.
+    ``target`` of one, by default ``min(eps * 1e-4, 1e-9)``, well inside
+    the acceptance window, so that the response is a stable function of
+    its inputs; an alternation's first round passes a looser one. After
+    ``max_fills`` steps, or once the bracket closes to float resolution,
+    it accepts a mass within eps of one or raises ``NumericFailure``.
     """
-    target = min(eps * 1e-4, 1e-9)
+    target = min(eps * 1e-4, 1e-9) if target is None else target
     lo, m_lo, hi, m_hi = -math.inf, 0.0, math.inf, math.inf  # m_hi is inf unless exact
     last = None  # the last fill that ran to the horizon, as (w̄, mass)
     resid: list[float] = []  # |mass - 1| of every fill
@@ -337,7 +359,8 @@ def best_response(
     ``stats``, when given, accumulates the monotonicity violations and
     carries this type's last w̄ (key ``"wbar_<belief>"``) and the last
     secant slope of its mass in w̄ (key ``"slope_<belief>"``) from one
-    call to the next, as the search's first fill and first Newton step.
+    call to the next, as the search's first fill and first Newton step;
+    a ``"target"`` key replaces the search's stop on |mass - 1|.
     """
     max_bisect = _check_search(eps, max_bisect)
     engine = _ResponseEngine(game, belief, _as_probs(p_minus, game.n_slots, math.inf))
@@ -353,7 +376,7 @@ def best_response(
         stats = {}
     key, slope_key = f"wbar_{belief}", f"slope_{belief}"
     p, stats[key], stats[slope_key] = _search_wbar(
-        engine, eps, max_bisect, stats.get(key), stats.get(slope_key)
+        engine, eps, max_bisect, stats.get(key), stats.get(slope_key), stats.get("target")
     )
     stats["monotonicity_violations"] = (
         stats.get("monotonicity_violations", 0) + engine.monotonicity_violations
@@ -434,9 +457,15 @@ def iterated_best_response(
     within ``delta`` times its size, the pair moves along it to the first
     entry that reaches zero, where the alternation itself would arrive.
     Convergence is declared only by a round of responses that moves the
-    pair by less than ``delta``. The stall test stays as a backstop: a
-    distance that has not halved in 25 rounds stops the loop once the
-    current pair independently verifies at ``stall_tol``.
+    pair by less than ``delta``.
+
+    The first round's responses to the arbitrary start, which the second
+    round overwrites, stop at |mass - 1| < 0.1 eps (inexact Newton, Dembo,
+    Eisenstat and Steihaug 1982); later ones close as a direct call does.
+
+    The stall test stays as a backstop: a distance that has not halved in
+    25 rounds stops the loop once the current pair independently verifies
+    at ``stall_tol``.
 
     Non-convergence within ``cfg.max_outer`` rounds is reported, not
     raised; the report's ``converged`` flag and verification numbers let
@@ -444,8 +473,8 @@ def iterated_best_response(
     """
     pair = np.zeros((2, game.n_slots))
     pair[:, 0] = 1.0
-    # This solve's own: it carries each type's last w̄ into its next response.
-    stats: dict = {}
+    # This solve's own: each type's last w̄, and the first round's target.
+    stats: dict = {"target": 0.1 * cfg.eps}
 
     def verified(tol: float) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
         sa, sb = ArrivalStrategy(pair[0]).normalized(), ArrivalStrategy(pair[1]).normalized()
@@ -459,6 +488,7 @@ def iterated_best_response(
     for iterations in range(1, cfg.max_outer + 1):
         pa = best_response(pair[1], game, "a", cfg.eps, cfg.max_bisect, stats)
         pb = best_response(pa, game, "b", cfg.eps, cfg.max_bisect, stats)
+        stats.pop("target", None)
         prev, pair = pair, np.stack((pa, pb))
         step = pair - prev
         delta = float(np.abs(step).max())
