@@ -111,8 +111,9 @@ def load_scenario(path: str | Path, overrides: list[str] = (), seed: int | None 
     mode = parser.get("scenario", "mode", fallback=None)
     if mode not in MODES:
         raise ScenarioError(f"[scenario] mode must be one of {MODES}, got {mode!r}")
-    file_seed = parser.getint("scenario", "seed", fallback=0)
-    return Scenario(mode, seed if seed is not None else file_seed, parser)
+    scn = Scenario(mode, 0, parser)
+    scn.seed = scn.get("scenario", "seed", int, 0) if seed is None else seed
+    return scn
 
 
 def _service(scn: Scenario, section: str, which: str) -> ServiceDist:

@@ -173,7 +173,7 @@ class ServiceDist:
 
 def make_deterministic(chi) -> ServiceDist:
     """Point mass at an integer service time."""
-    if chi != int(chi) or chi < 1:
+    if not 1 <= chi < math.inf or chi != int(chi):
         raise ValueError("deterministic service time must be an integer >= 1")
     chi = int(chi)
     return ServiceDist("deterministic", float(chi), 0.0, Pmf.point_mass(chi))

@@ -10,8 +10,9 @@ an outer alternation it starts with a fill at the type's previous w̄ and
 a Newton step with the last secant slope of mass in w̄. The solver
 alternates best responses between the two types until the pair stops
 moving in the sup norm; a round that repeats the previous round's step
-moves the pair along that step to its next support change. Any point the alternation converges to is an
-equilibrium, which `verify_equilibrium` checks independently.
+moves the pair along that step to its next support change. Any point the
+alternation converges to is an equilibrium, which `verify_equilibrium`
+checks independently.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ class _ResponseEngine:
         # The last slot before each slot with opponent load, or the opening.
         last = np.maximum.accumulate(np.where(other > 0.0, np.arange(self.n), 0))
         self._from = [0] + last[:-1].tolist()
-        self.monotonicity_violations = 0
         self._shrink = 1.0 - _DRIFT_REL * (self.n + 1)
         drift = (self._shrink * service.pmf.mean()) * other - (
             game.tau + _DRIFT_ABS * (1.0 + game.tau)
@@ -247,25 +247,30 @@ class _ResponseEngine:
         return p, mass
 
 
-def _search_wbar(
-    engine: _ResponseEngine,
-    eps: float,
-    max_fills: int,
-    guess: float | None,
-    slope: float | None = None,
-    target: float | None = None,
-) -> tuple[np.ndarray, float, float | None]:
+@dataclass
+class _Warm:
+    """One type's search state, carried from one of its best responses to
+    the next within a solve: the last w̄ and the last secant slope of mass
+    in w̄ (None before a search has set them), the stop on |mass - 1|
+    (None for the default) and the count of monotonicity violations."""
+
+    wbar: float | None = None
+    slope: float | None = None
+    target: float | None = None
+    violations: int = 0
+
+
+def _search_wbar(engine: _ResponseEngine, eps: float, max_fills: int, warm: _Warm) -> np.ndarray:
     """Search the equilibrium wait w̄ whose fill carries unit mass; return
-    the fill, w̄ and the slope of mass in w̄ to carry to the next search.
+    the fill, and leave w̄ and the slope of mass in w̄ on ``warm``.
 
     The mass is zero up to the smallest own-zero wait and grows without
-    bound above it, so a bracket always closes. A ``guess`` (the previous
-    w̄ of an outer alternation) is filled first, to the horizon. Every
-    later step is a Newton step from the last fill that ran to the
-    horizon, with the secant slope through the last two such fills, or,
-    before there are two, with ``slope`` (the last secant slope of the
-    previous search). A step may extrapolate into a side of the bracket
-    that is still open. The search
+    bound above it, so a bracket always closes. The previous w̄ in
+    ``warm``, if any, is filled first, to the horizon. Every later step
+    is a Newton step from the last fill that ran to the horizon, with the
+    secant slope through the last two such fills, or, before there are
+    two, with the previous search's last slope in ``warm``. A step may
+    extrapolate into a side of the bracket that is still open. The search
     falls back when a step leaves the bracket, when there is none, or
     when |mass - 1| has not halved in two fills: to w̄ = 0 (mass 0, as no
     wait is negative) while the bracket has no lower end, then to chi*lam/2
@@ -274,21 +279,22 @@ def _search_wbar(
     once their mass passes one by more than ``_EXACT_SPAN`` (or eps), so
     fills near the root are exact and serve the secant; an early-stopped
     fill only bounds its mass from below, and monotonicity is checked
-    between exact masses alone. The search stops at a mass within
-    ``target`` of one, by default ``min(eps * 1e-4, 1e-9)``, well inside
-    the acceptance window, so that the response is a stable function of
-    its inputs; an alternation's first round passes a looser one. After
-    ``max_fills`` steps, or once the bracket closes to float resolution,
-    it accepts a mass within eps of one or raises ``NumericFailure``.
+    between exact masses alone, a violation counted on ``warm``. It stops
+    at a mass within ``warm.target`` of one, by default min(eps * 1e-4,
+    1e-9), well inside the acceptance window, so that the response is a
+    stable function of its inputs. After ``max_fills`` steps, or once the
+    bracket closes to float resolution, it accepts a mass within eps of
+    one or raises ``NumericFailure``.
     """
-    target = min(eps * 1e-4, 1e-9) if target is None else target
+    target = min(eps * 1e-4, 1e-9) if warm.target is None else warm.target
+    guess, slope = warm.wbar, warm.slope
     lo, m_lo, hi, m_hi = -math.inf, 0.0, math.inf, math.inf  # m_hi is inf unless exact
     last = None  # the last fill that ran to the horizon, as (w̄, mass)
     resid: list[float] = []  # |mass - 1| of every fill
     increment = 0.5 * engine.chi * engine.lam_own
     p, w, m = None, math.nan, math.nan
     for _ in range(max_fills):
-        if guess is not None and math.isfinite(guess):
+        if guess is not None:
             w, guess, cap = guess, None, math.inf
         else:
             cap = 1.0 + max(eps, _EXACT_SPAN)
@@ -319,7 +325,7 @@ def _search_wbar(
             # whose ends hold exact masses (or inf): they compare, and the
             # secant has a width.
             if not (m_lo <= m + 1e-12 and m <= m_hi + 1e-12):
-                engine.monotonicity_violations += 1
+                warm.violations += 1
             if last:
                 secant = (m - last[1]) / (w - last[0])
                 if 0.0 < secant < math.inf:
@@ -332,7 +338,8 @@ def _search_wbar(
         else:
             hi, m_hi = w, (m if m <= cap else math.inf)
     if 1.0 - eps < m < 1.0 + eps:
-        return p, w, slope
+        warm.wbar, warm.slope = w, slope
+        return p
     raise NumericFailure(f"search on the equilibrium wait did not close on unit mass (mass {m!r})")
 
 
@@ -341,14 +348,16 @@ def best_response(
     game: SlotGame,
     belief: str,
     eps: float,
-    max_bisect: int = 200,
-    stats: dict | None = None,
+    max_bisect: int = SolverConfig.max_bisect,
+    warm: _Warm | None = None,
 ) -> np.ndarray:
     """Symmetric best response of one type to the other type's profile.
 
     Searches the equilibrium wait w̄ at which the fixed-point fill carries
     unit mass; the returned vector has total mass within eps of one.
     ``max_bisect`` caps the steps of the search, as in ``SolverConfig``.
+    ``warm`` is the solver's record of this type's previous search in an
+    outer alternation; a direct call leaves it out and starts cold.
 
     Inputs are checked before any fill. ``p_minus``, an array-like or an
     ``ArrivalStrategy``, must have ``game.n_slots`` finite entries, none
@@ -356,11 +365,6 @@ def best_response(
     so ``np.zeros(n)`` stands for an absent opponent. ``belief`` must be
     "a" or "b", ``eps`` positive and finite and ``max_bisect`` a positive
     integer, else ``ValueError``.
-    ``stats``, when given, accumulates the monotonicity violations and
-    carries this type's last w̄ (key ``"wbar_<belief>"``) and the last
-    secant slope of its mass in w̄ (key ``"slope_<belief>"``) from one
-    call to the next, as the search's first fill and first Newton step;
-    a ``"target"`` key replaces the search's stop on |mass - 1|.
     """
     max_bisect = _check_search(eps, max_bisect)
     engine = _ResponseEngine(game, belief, _as_probs(p_minus, game.n_slots, math.inf))
@@ -372,16 +376,7 @@ def best_response(
         p = np.zeros(engine.n)
         p[int(np.argmin(waits))] = 1.0
         return p
-    if stats is None:
-        stats = {}
-    key, slope_key = f"wbar_{belief}", f"slope_{belief}"
-    p, stats[key], stats[slope_key] = _search_wbar(
-        engine, eps, max_bisect, stats.get(key), stats.get(slope_key), stats.get("target")
-    )
-    stats["monotonicity_violations"] = (
-        stats.get("monotonicity_violations", 0) + engine.monotonicity_violations
-    )
-    return p
+    return _search_wbar(engine, eps, max_bisect, _Warm() if warm is None else warm)
 
 
 def verify_equilibrium(game: SlotGame, p_a, p_b, tol: float) -> EquilibriumReport:
@@ -459,9 +454,11 @@ def iterated_best_response(
     Convergence is declared only by a round of responses that moves the
     pair by less than ``delta``.
 
-    The first round's responses to the arbitrary start, which the second
-    round overwrites, stop at |mass - 1| < 0.1 eps (inexact Newton, Dembo,
-    Eisenstat and Steihaug 1982); later ones close as a direct call does.
+    Each type carries one fresh ``_Warm`` record through its responses of
+    a solve. Its target stops the first round's responses to the
+    arbitrary start, which the second round overwrites, at |mass - 1| <
+    0.1 eps (inexact Newton, Dembo, Eisenstat and Steihaug 1982); later
+    ones close as a direct call does.
 
     The stall test stays as a backstop: a distance that has not halved in
     25 rounds stops the loop once the current pair independently verifies
@@ -473,8 +470,7 @@ def iterated_best_response(
     """
     pair = np.zeros((2, game.n_slots))
     pair[:, 0] = 1.0
-    # This solve's own: each type's last w̄, and the first round's target.
-    stats: dict = {"target": 0.1 * cfg.eps}
+    warm_a, warm_b = _Warm(target=0.1 * cfg.eps), _Warm(target=0.1 * cfg.eps)
 
     def verified(tol: float) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
         sa, sb = ArrivalStrategy(pair[0]).normalized(), ArrivalStrategy(pair[1]).normalized()
@@ -486,9 +482,9 @@ def iterated_best_response(
     delta_checkpoint = math.inf
     last = None
     for iterations in range(1, cfg.max_outer + 1):
-        pa = best_response(pair[1], game, "a", cfg.eps, cfg.max_bisect, stats)
-        pb = best_response(pa, game, "b", cfg.eps, cfg.max_bisect, stats)
-        stats.pop("target", None)
+        pa = best_response(pair[1], game, "a", cfg.eps, cfg.max_bisect, warm_a)
+        pb = best_response(pa, game, "b", cfg.eps, cfg.max_bisect, warm_b)
+        warm_a.target = warm_b.target = None
         prev, pair = pair, np.stack((pa, pb))
         step = pair - prev
         delta = float(np.abs(step).max())
@@ -510,7 +506,7 @@ def iterated_best_response(
     report.iterations = iterations
     report.converged = converged
     report.stalled = stalled
-    report.monotonicity_violations = stats.get("monotonicity_violations", 0)
+    report.monotonicity_violations = warm_a.violations + warm_b.violations
     return sa, sb, report
 
 

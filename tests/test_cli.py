@@ -184,12 +184,24 @@ class TestScenarioParsing:
         assert main(["run", str(path), "--out", str(out), "--override", override]) == EXIT_OK
         assert (out / "summary.txt").is_file()
 
-    @pytest.mark.parametrize("override", ["DEFAULT.mu_b=4", "fluid.mu_b=4%", " .mu_b=4"])
+    @pytest.mark.parametrize(
+        "override",
+        ["DEFAULT.mu_b=4", "fluid.mu_b=4%", " .mu_b=4", "scenario.seed=abc", "scenario.seed=1.5"],
+    )
     def test_unusable_override_exits_2_without_outputs(self, tmp_path, capsys, override):
         path = write(tmp_path, FLUID_SCENARIO)
         out = tmp_path / "o"
         assert main(["run", str(path), "--out", str(out), "--override", override]) == EXIT_PARSE
         assert "scenario error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("chi", ["inf", "nan"])
+    def test_non_finite_deterministic_service_exits_4_without_outputs(self, tmp_path, capsys, chi):
+        path = write(tmp_path, BR_SCENARIO.replace("geometric", "deterministic"))
+        out = tmp_path / "o"
+        args = ["run", str(path), "--out", str(out), "--override", f"game.chi_a={chi}"]
+        assert main(args) == EXIT_INVALID_PARAMS
+        assert "integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_percent_in_value_is_a_bad_value(self, tmp_path, capsys):

@@ -54,9 +54,9 @@ class TestServiceConstructors:
         m, v, cv = moments(make_deterministic(2).pmf)
         assert m == 2.0 and v == 0.0 and cv == 0.0
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, math.inf, math.nan])
     def test_deterministic_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integer >= 1"):
             make_deterministic(bad)
 
     def test_geometric_cv(self):

@@ -19,6 +19,7 @@ from arrivalgames.solver import (
     SolverConfig,
     _ResponseEngine,
     _search_wbar,
+    _Warm,
     best_response,
     iterated_best_response,
     solve_fr,
@@ -211,6 +212,13 @@ def scan_and_bisect(g: SlotGame, belief: str, minus, eps: float) -> np.ndarray:
     raise AssertionError("no start slot admits a response")
 
 
+def cold_search(engine: _ResponseEngine) -> tuple[np.ndarray, float]:
+    """The fill and w̄ of a search with no warm start."""
+    warm = _Warm()
+    p = _search_wbar(engine, EPS, 200, warm)
+    return p, warm.wbar
+
+
 def fill_path(engine: _ResponseEngine, wbar: float):
     """Workload means and own-zero waits of every slot along the
     unpruned fill at wbar without a mass cap; a wbar below every own-zero
@@ -246,21 +254,21 @@ class TestSolverProperties:
         g, minus = case
         for belief in ("a", "b"):
             want = scan_and_bisect(g, belief, minus, EPS)
-            stats = {}
-            got = best_response(minus, g, belief, EPS, 200, stats)
+            warm = _Warm()
+            got = best_response(minus, g, belief, EPS, 200, warm)
             assert np.max(np.abs(got - want)) <= 1e-8, belief
-            assert stats["monotonicity_violations"] == 0, belief
-            root = stats[f"wbar_{belief}"]
+            assert warm.violations == 0, belief
+            root = warm.wbar
             engine = _ResponseEngine(g, belief, minus)
             h = 1e-6 * root
             true = (engine.fill(root + h, math.inf)[1] - engine.fill(root - h, math.inf)[1]) / (2 * h)
             slopes = (None, 0.0, -true, math.nan, math.inf, 1e-12 * true, 1e12 * true, true)
             for factor in (0.5, 1.0, 1.5):
                 for slope in slopes:
-                    stats = {f"wbar_{belief}": factor * root, f"slope_{belief}": slope}
-                    got = best_response(minus, g, belief, EPS, 200, stats)
+                    warm = _Warm(wbar=factor * root, slope=slope)
+                    got = best_response(minus, g, belief, EPS, 200, warm)
                     assert np.max(np.abs(got - want)) <= 1e-8, (belief, factor, slope)
-                    assert stats["monotonicity_violations"] == 0, (belief, factor, slope)
+                    assert warm.violations == 0, (belief, factor, slope)
 
     @PROPERTY
     @given(case=game_and_opponent())
@@ -268,7 +276,7 @@ class TestSolverProperties:
         g, minus = case
         engine = _ResponseEngine(g, "a", minus)
         zero_waits = np.array([own_zero_wait(engine, t) for t in range(g.n_slots)])
-        p_star, w_star, _ = _search_wbar(engine, EPS, 200, None)
+        p_star, w_star = cold_search(engine)
         trials = [(p_star, w_star)]
         just_above = zero_waits + 1e-9 * (1.0 + zero_waits)
         for w in np.concatenate([zero_waits, just_above, zero_waits + 0.25 * g.x_a.chi * g.lam_a]):
@@ -285,7 +293,7 @@ class TestSolverProperties:
         g, minus = case
         engine = _ResponseEngine(g, "a", minus)
         w_min = min(own_zero_wait(engine, t) for t in range(g.n_slots))
-        _, w_star, _ = _search_wbar(engine, EPS, 200, None)
+        _, w_star = cold_search(engine)
         grid = np.linspace(w_min, w_min + 2.0 * (w_star - w_min), 17)
         masses = [engine.fill(w, math.inf)[1] for w in grid]
         assert masses[0] == 0.0
@@ -301,7 +309,7 @@ class TestSolverProperties:
         g, minus = case
         for belief in ("a", "b"):
             engine = _ResponseEngine(g, belief, minus)
-            _, root, _ = _search_wbar(engine, EPS, 200, None)
+            _, root = cold_search(engine)
             for wbar in (-1.0, root, 2.0 * root):
                 evs, waits = fill_path(engine, wbar)
                 for t in range(g.n_slots - 1):
@@ -324,7 +332,7 @@ class TestSolverProperties:
         for belief in ("a", "b"):
             engine = _ResponseEngine(g, belief, minus)
             waits = [own_zero_wait(engine, t) for t in range(g.n_slots)]
-            _, root, _ = _search_wbar(engine, EPS, 200, None)
+            _, root = cold_search(engine)
             near = [np.nextafter(w, side) for w in waits for side in (-math.inf, math.inf)]
             for w in waits + near:
                 # a cap below zero stops both fills at their first slot
@@ -449,7 +457,7 @@ class TestBestResponseInputs:
 class TestBisection:
     def test_tiny_load_equalizes_waits(self):
         g = SlotGame(0.1, 0.0, 3, 2, make_deterministic(1), make_deterministic(1))
-        p, _, _ = _search_wbar(_ResponseEngine(g, "a", np.zeros(2)), EPS, 200, None)
+        p, _ = cold_search(_ResponseEngine(g, "a", np.zeros(2)))
         assert abs(p.sum() - 1.0) < EPS
         prof = workload_profile(g, p / p.sum(), ArrivalStrategy.uniform(2), "a")
         assert abs(prof.w[0] - prof.w[1]) <= 2 * EPS * g.x_a.chi
@@ -457,7 +465,7 @@ class TestBisection:
     def test_success_mass_window(self):
         g = SlotGame(2.0, 1.0, 2, 5, make_geometric(3), make_geometric(1.5))
         minus = ArrivalStrategy.uniform(5).probs
-        p, _, _ = _search_wbar(_ResponseEngine(g, "a", minus), EPS, 200, None)
+        p, _ = cold_search(_ResponseEngine(g, "a", minus))
         assert 1.0 - EPS < p.sum() < 1.0 + EPS
 
     def test_overshoot_moves_start(self):
@@ -467,7 +475,7 @@ class TestBisection:
         minus = np.zeros(60)
         minus[0] = 1.0
         engine = _ResponseEngine(g, "a", minus)
-        p, wbar, _ = _search_wbar(engine, EPS, 200, None)
+        p, wbar = cold_search(engine)
         assert own_zero_wait(engine, 0) >= wbar
         assert p[0] == 0.0 and abs(p.sum() - 1.0) < EPS
 
@@ -589,24 +597,22 @@ class TestIteratedBestResponse:
     def test_warm_start_does_not_leak_between_solves(self, monkeypatch):
         # each solve carries its own w̄ guesses and slopes: solving x again
         # after y, or as an equal but distinct game, repeats x's output bit
-        # for bit, and each solve's first responses see neither key
+        # for bit, and each solve's first responses get a record with
+        # neither a w̄ nor a slope
         seen = []
         respond = solver.best_response
 
-        def recorded(p_minus, game, belief, eps, max_bisect, stats):
-            seen.append((belief, dict(stats)))
-            return respond(p_minus, game, belief, eps, max_bisect, stats)
+        def recorded(p_minus, game, belief, eps, max_bisect, warm):
+            seen.append((belief, warm.wbar, warm.slope))
+            return respond(p_minus, game, belief, eps, max_bisect, warm)
 
         monkeypatch.setattr(solver, "best_response", recorded)
 
         def solve(g):
             seen.clear()
             sa, sb, rep = iterated_best_response(g, SolverConfig())
-            first = {belief: stats for belief, stats in reversed(seen)}
-            for belief in ("a", "b"):
-                assert f"wbar_{belief}" not in first[belief]
-                assert f"slope_{belief}" not in first[belief]
-            assert all(f"slope_{b}" in stats for b, stats in seen[2:])
+            assert seen[:2] == [("a", None, None), ("b", None, None)]
+            assert all(w is not None for _, w, _ in seen[2:])
             return sa.probs, sb.probs, rep.wbar_a, rep.wbar_b, rep.iterations
 
         def game_x():
@@ -737,7 +743,7 @@ class TestPrunedFillCost:
         # equilibrium fill of type a steps through all 239 later slots
         g = det240()
         _, pb, _ = iterated_best_response(g, SolverConfig())
-        _, wbar, _ = _search_wbar(_ResponseEngine(g, "a", pb.probs), EPS, 200, None)
+        _, wbar = cold_search(_ResponseEngine(g, "a", pb.probs))
         engine = _ResponseEngine(g, "a", pb.probs)
         calls = []
         advance = engine.stepper.advance

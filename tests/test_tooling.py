@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -108,8 +109,8 @@ def test_private_names_are_used_in_src():
 
 
 def test_public_surface_is_pinned():
-    # A new public name, solver setting or result field shows in a diff
-    # as an edit of this test.
+    # A new public name, solver setting, parameter of a solve entry point
+    # or result field shows in a diff as an edit of this test.
     assert sorted(arrivalgames.__all__) == [
         "AbmConfig", "AbmResult", "ArrivalStrategy",
         "DEFAULT_TAIL_TOL", "DominanceReport", "EquilibriumReport",
@@ -156,4 +157,21 @@ def test_public_surface_is_pinned():
         "DominanceReport": [
             "dominance_holds", "paths_checked", "violating_paths", "max_workload_gap",
         ],
+    }
+    params = {
+        fn.__name__: list(inspect.signature(fn).parameters)
+        for fn in (
+            arrivalgames.best_response,
+            arrivalgames.iterated_best_response,
+            arrivalgames.verify_equilibrium,
+            arrivalgames.solve_fr,
+            arrivalgames.workload_profile,
+        )
+    }
+    assert params == {
+        "best_response": ["p_minus", "game", "belief", "eps", "max_bisect", "warm"],
+        "iterated_best_response": ["game", "cfg"],
+        "verify_equilibrium": ["game", "p_a", "p_b", "tol"],
+        "solve_fr": ["params", "tau", "n_slots", "cfg"],
+        "workload_profile": ["game", "p_a", "p_b", "belief", "mass_tol"],
     }
