@@ -5,25 +5,26 @@ noisy signal about that day's server mode. Agents keep running-average
 waits and visit counts per (signal, slot) pair, their only history, and
 mix uniform exploration with picking the historically best slot,
 exploring less as they accumulate visits. The long-run averaged choice
-frequencies and waits are the objects compared against the equilibrium
-solutions.
+frequencies and waits are compared against the equilibrium solutions of
+the same ``SignalParams`` environment.
 
-Also provides the coupled-path workload dominance experiment: with job
-sizes built from shared uniforms, the slow-belief system pathwise
-dominates the fast-belief one. Each path's workloads are the reflected
-net input in closed form, checked at all epochs at once.
+Also provides the coupled-path workload dominance experiment on the
+exponential model's ``FluidParams``: with job sizes built from shared
+uniforms, the slow-belief system pathwise dominates the fast-belief one.
+Each path's workloads are the reflected net input in closed form,
+checked at all epochs at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .dists import ServiceDist
-from .fluid import FluidEquilibrium
-from .signals import _check_pq, _side
+from .fluid import FluidEquilibrium, FluidParams
+from .signals import SignalParams, _side
 from .workload import ArrivalStrategy, _check_counts
 
 
@@ -42,8 +43,8 @@ def theta(x: float, c1: float, c2: float) -> float:
     always explores).
     """
     _check_sigmoid(c1, c2)
-    if x < 0:
-        raise ValueError("visit count must be nonnegative")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"visit count must be nonnegative and finite, got {x!r}")
     if x == 0:
         return 0.0
     t = c2 * x
@@ -54,24 +55,19 @@ def theta(x: float, c1: float, c2: float) -> float:
 
 @dataclass(frozen=True)
 class AbmConfig:
-    """Simulation parameters.
+    """Simulation parameters in the signal environment ``signal``.
 
     ``pool`` agents join each day independently with probability
-    lam / pool; ``days`` is the simulated horizon. Signals have
-    correctness q against a mode that is slow with probability p.
+    signal.lam / pool (at most one); ``days`` is the simulated horizon.
     ``pool``, ``days``, ``tau`` and ``n_slots`` must be positive integers
     and ``c1``, ``c2`` positive and finite, else ``ValueError``.
     """
 
-    pool: int
-    lam: float
-    days: int
-    p: float
-    q: float
-    x_a: ServiceDist
-    x_b: ServiceDist
+    signal: SignalParams
     tau: int
     n_slots: int
+    pool: int
+    days: int
     c1: float = 1.0
     c2: float = 0.005
     seed: int = 0
@@ -80,14 +76,13 @@ class AbmConfig:
         _check_counts(
             self, pool="agent pool", days="day count", tau="slot length", n_slots="slot count"
         )
-        if not 0.0 <= self.lam <= self.pool:
+        if not self.signal.lam <= self.pool:
             raise ValueError("mean daily arrivals cannot exceed the pool size")
-        _check_pq(self.p, self.q)
         _check_sigmoid(self.c1, self.c2)
 
     @property
     def join_prob(self) -> float:
-        return self.lam / self.pool
+        return self.signal.lam / self.pool
 
 
 def choose_slot(
@@ -107,20 +102,17 @@ def choose_slot(
 
 
 def simulate_day(
-    arrivals: list[tuple[int, int]],
-    service: ServiceDist,
-    tau: int,
-    rng: np.random.Generator,
+    slots: list[int], service: ServiceDist, tau: int, rng: np.random.Generator
 ) -> np.ndarray:
     """FCFS waits for one day's arrivals under the given service law.
 
-    ``arrivals`` holds (agent_id, slot) pairs. Within a slot the cohort is
+    ``slots`` holds each arrival's slot. Within a slot the cohort is
     admitted in random order; each wait is the unfinished work ahead at
     admission. The workload drains tau units per slot.
     """
-    waits = np.zeros(len(arrivals))
+    waits = np.zeros(len(slots))
     by_slot: dict[int, list[int]] = {}
-    for idx, (_, slot) in enumerate(arrivals):
+    for idx, slot in enumerate(slots):
         by_slot.setdefault(int(slot), []).append(idx)
     support = np.arange(len(service.pmf))
     probs = service.pmf.mass / service.pmf.total
@@ -171,22 +163,22 @@ def run_abm(cfg: AbmConfig) -> AbmResult:
     visits = np.zeros((cfg.pool, 2, cfg.n_slots), dtype=np.int64)
     explored = np.zeros(cfg.days, dtype=np.int64)
     decisions = np.zeros(cfg.days, dtype=np.int64)
-    services = {0: cfg.x_a, 1: cfg.x_b}
+    services = (cfg.signal.x_a, cfg.signal.x_b)
     for day in range(cfg.days):
-        mode = 0 if rng.random() < cfg.p else 1
+        mode = 0 if rng.random() < cfg.signal.p else 1
         joiners = np.flatnonzero(rng.random(cfg.pool) < cfg.join_prob)
         if joiners.size == 0:
             continue
-        correct = rng.random(joiners.size) < cfg.q
-        beliefs = np.where(correct, mode, 1 - mode)
-        arrivals: list[tuple[int, int]] = []
-        for k, b in zip(joiners.tolist(), beliefs.tolist()):
+        correct = rng.random(joiners.size) < cfg.signal.q
+        agents, beliefs = joiners.tolist(), np.where(correct, mode, 1 - mode).tolist()
+        slots = []
+        for k, b in zip(agents, beliefs):
             slot, did_explore = choose_slot(wbar[k, b], visits[k, b], rng, cfg.c1, cfg.c2)
-            arrivals.append((k, slot))
+            slots.append(slot)
             explored[day] += did_explore
-            decisions[day] += 1
-        waits = simulate_day(arrivals, services[mode], cfg.tau, rng)
-        for (k, slot), b, wait in zip(arrivals, beliefs.tolist(), waits.tolist()):
+        decisions[day] = len(slots)
+        waits = simulate_day(slots, services[mode], cfg.tau, rng)
+        for k, b, slot, wait in zip(agents, beliefs, slots, waits.tolist()):
             visits[k, b, slot] += 1
             wbar[k, b, slot] += (wait - wbar[k, b, slot]) / visits[k, b, slot]
     totals = visits.sum(axis=2, keepdims=True)
@@ -235,27 +227,23 @@ def _sample_arrival_times(
 
 
 def coupled_dominance(
-    lam_a: float,
-    lam_b: float,
+    params: FluidParams,
     f_a,
     f_b,
-    mu_a: float,
-    mu_b: float,
-    horizon: float,
     n_paths: int,
     rng: np.random.Generator,
     coupled: bool = True,
 ) -> DominanceReport:
     """Pathwise workload/queue dominance experiment.
 
-    Both belief systems see the same arrival stream; job sizes are
-    exponential with rate mu_i, built from shared uniforms when
+    Both belief systems see the same arrival stream, at the rates and on
+    the horizon of ``params``; job sizes are exponential with rate mu_i
+    of ``params``, built from shared uniforms when
     ``coupled`` (so the slow system's jobs are a fixed multiple of the
     fast system's). Checks V_a >= V_b and Q_a >= Q_b just after every
     arrival and departure epoch on every path.
     """
-    if mu_a > mu_b:
-        raise ValueError("slow-belief rate mu_a cannot exceed mu_b")
+    lam_a, lam_b, mu_a, mu_b, horizon = astuple(params)
     violating = 0
     max_gap = 0.0
     for _ in range(n_paths):

@@ -10,12 +10,14 @@ rename), so a failed run leaves no partial outputs. Each solve's summary
 lines include the gate it was accepted at (``tol``) and the verdict
 there (``passed``).
 
-Exit codes: 0 success, 2 scenario parse/validation error, 3 solver
-non-convergence (outputs still written), 4 invalid model parameters,
-including a NaN or infinite population, a NaN or infinite ``[solver]``
-value or ``[abm]`` sigmoid parameter, a fluid ``grid_n`` below 2 and a
-model past the workload kernel's support budget (no outputs written), 5
-numerical failure of the solver (no outputs written).
+Exit codes: 0 success, 2 scenario parse/validation error, 3 a solve
+that did not converge or did not pass verification at its gate (outputs
+still written), 4 invalid model parameters, including a NaN or infinite
+population, a NaN or infinite ``[solver]`` value or ``[abm]`` sigmoid
+parameter, a fluid ``grid_n`` below 2, a signal that is never observed
+where its posterior is needed and a model past the workload kernel's
+support budget (no outputs written), 5 numerical failure of the solver
+(no outputs written).
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ EXIT_INVALID_PARAMS = 4
 EXIT_NUMERIC_FAILURE = 5
 
 
-# What a mode runner returns: the summary pairs, and whether every solve
-# in the run converged.
-_Outcome = tuple[list[tuple[str, object]], bool]
+# What a mode runner returns: the summary pairs, and the report of every
+# solve in the run.
+_Outcome = tuple[list[tuple[str, object]], list]
 
 
 class ScenarioError(ValueError):
@@ -240,7 +242,7 @@ def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
     for side in ("a", "b"):
         for i, seg in enumerate(eq.segments(side)):
             pairs.append((f"segment_{side}{i}", f"{seg.start!r}:{seg.end!r}:{seg.density!r}"))
-    return pairs, True
+    return pairs, []
 
 
 def _slot_times(tau: int, n_slots: int) -> np.ndarray:
@@ -254,7 +256,7 @@ def _run_discrete_br(scn: Scenario, outputs: dict) -> _Outcome:
     outputs["cdf.csv"] = _csv_lines(
         ["time", "F_a", "F_b"], [_slot_times(game.tau, game.n_slots), pa.cdf(), pb.cdf()]
     )
-    return [("mode", "discrete_br")] + _report_pairs("br", rep), rep.converged
+    return [("mode", "discrete_br")] + _report_pairs("br", rep), [rep]
 
 
 def _run_discrete_fr(scn: Scenario, outputs: dict) -> _Outcome:
@@ -274,21 +276,17 @@ def _run_discrete_fr(scn: Scenario, outputs: dict) -> _Outcome:
         ("posterior.zeta_b", view_b.zeta),
     ]
     pairs += _report_pairs("fr_a", rep_a) + _report_pairs("fr_b", rep_b)
-    return pairs, rep_a.converged and rep_b.converged
+    return pairs, [rep_a, rep_b]
 
 
 def _abm_config(scn: Scenario, sig: SignalParams, tau: int, n_slots: int) -> abm_mod.AbmConfig:
     scn.require("abm")
     return abm_mod.AbmConfig(
+        sig,
+        tau,
+        n_slots,
         pool=scn.get("abm", "pool", int),
-        lam=sig.lam,
         days=scn.get("abm", "days", int),
-        p=sig.p,
-        q=sig.q,
-        x_a=sig.x_a,
-        x_b=sig.x_b,
-        tau=tau,
-        n_slots=n_slots,
         c1=scn.get("abm", "c1", float, abm_mod.AbmConfig.c1),
         c2=scn.get("abm", "c2", float, abm_mod.AbmConfig.c2),
         seed=scn.seed,
@@ -309,19 +307,21 @@ def _run_abm(scn: Scenario, outputs: dict) -> _Outcome:
         ("abm.wbar_b", float(res.wbar_pop[1])),
         ("abm.contributing_a", int(res.contributing[0])),
         ("abm.contributing_b", int(res.contributing[1])),
-    ], True
+    ], []
 
 
 def _run_compare(scn: Scenario, outputs: dict) -> _Outcome:
-    """Bounded-rational, fully-rational and learning outcomes side by side."""
+    """Bounded-rational, fully-rational and learning outcomes side by side.
+    The ``[abm]`` block is checked before the first solve."""
     sig = _signal_params(scn)
     tau, n_slots = _slots(scn)
     cfg = _solver_config(scn)
+    abm_cfg = _abm_config(scn, sig, tau, n_slots)
     marg = signal_marginals(sig.p, sig.q)
     game_br = SlotGame(sig.lam * marg[0], sig.lam * marg[1], tau, n_slots, sig.x_a, sig.x_b)
     pa_br, pb_br, rep_br = iterated_best_response(game_br, cfg)
     pa_fr, pb_fr, (rep_fr_a, rep_fr_b) = solve_fr(sig, tau, n_slots, cfg)
-    res = abm_mod.run_abm(_abm_config(scn, sig, tau, n_slots))
+    res = abm_mod.run_abm(abm_cfg)
     times = _slot_times(tau, n_slots)
     outputs["cdf_br.csv"] = _csv_lines(["time", "F_a", "F_b"], [times, pa_br.cdf(), pb_br.cdf()])
     outputs["cdf_fr.csv"] = _csv_lines(["time", "F_a", "F_b"], [times, pa_fr.cdf(), pb_fr.cdf()])
@@ -338,7 +338,7 @@ def _run_compare(scn: Scenario, outputs: dict) -> _Outcome:
         ("dist.abm_vs_fr_a", sup(res.cdf("a"), pa_fr.cdf())),
         ("dist.abm_vs_fr_b", sup(res.cdf("b"), pb_fr.cdf())),
     ]
-    return pairs, rep_br.converged and rep_fr_a.converged and rep_fr_b.converged
+    return pairs, [rep_br, rep_fr_a, rep_fr_b]
 
 
 def _run_signal(scn: Scenario, outputs: dict) -> _Outcome:
@@ -355,7 +355,7 @@ def _run_signal(scn: Scenario, outputs: dict) -> _Outcome:
         ("eta_b", f"{view_b.eta[0]!r} {view_b.eta[1]!r}"),
         ("zeta_a", view_a.zeta),
         ("zeta_b", view_b.zeta),
-    ], True
+    ], []
 
 
 _RUNNERS = {
@@ -370,29 +370,32 @@ _RUNNERS = {
 
 def _write_atomic(out_dir: Path, files: dict[str, list[str]]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    staged = []
+    staged, placed = [], []
     try:
         for name, lines in files.items():
             fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+            staged.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
-            staged.append((tmp, out_dir / name))
-        for tmp, dest in staged:
-            os.replace(tmp, dest)
+        for tmp, name in zip(staged, files):
+            os.replace(tmp, out_dir / name)
+            placed.append(out_dir / name)
     except BaseException:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        # A failed run leaves no temp files and none of its outputs.
+        for path in staged + placed:
+            if os.path.exists(path):
+                os.unlink(path)
         raise
 
 
 def run_scenario(scn: Scenario, out_dir: str | Path) -> int:
     outputs: dict[str, list[str]] = {}
-    pairs, converged = _RUNNERS[scn.mode](scn, outputs)
+    pairs, reports = _RUNNERS[scn.mode](scn, outputs)
     outputs["summary.txt"] = _summary_lines([("seed", scn.seed)] + pairs)
     _write_atomic(Path(out_dir), outputs)
-    if not converged:
-        print("solver did not converge:", *outputs["summary.txt"], sep="\n", file=sys.stderr)
+    if not all(rep.converged and rep.passed for rep in reports):
+        head = "solver did not converge or did not pass verification:"
+        print(head, *outputs["summary.txt"], sep="\n", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -100,8 +100,8 @@ class Pmf:
             bound = deficit
         else:
             bound = float(self.tail_bound)
-            if bound < 0.0:
-                raise ValueError("tail_bound must be nonnegative")
+            if not 0.0 <= bound < math.inf:
+                raise ValueError("tail_bound must be nonnegative and finite")
             if deficit > bound + 1e-9:
                 raise ValueError(
                     f"measured deficit {deficit!r} exceeds tail_bound {bound!r}"
@@ -113,7 +113,7 @@ class Pmf:
 
     @classmethod
     def point_mass(cls, k: int) -> "Pmf":
-        if k < 0 or int(k) != k:
+        if not 0 <= k < math.inf or int(k) != k:
             raise ValueError("point mass location must be a nonnegative integer")
         arr = np.zeros(int(k) + 1)
         arr[int(k)] = 1.0
@@ -151,8 +151,8 @@ class ServiceDist:
     pmf: Pmf
 
     def __post_init__(self):
-        if self.chi <= 0.0:
-            raise ValueError("service mean must be positive")
+        if not 0.0 < self.chi < math.inf:
+            raise ValueError("service mean must be positive and finite")
         if self.pmf.mass[0] != 0.0:
             raise ValueError("service times must be positive integers")
         if self.pmf.tail_bound > 1e-9:
@@ -193,8 +193,8 @@ def _geometric_support(mean: float) -> int:
 
 def make_geometric(chi: float) -> ServiceDist:
     """Geometric law on {1, 2, ...} with success probability 1/chi."""
-    if chi < 1.0:
-        raise ValueError("geometric service mean must be >= 1")
+    if not 1.0 <= chi < math.inf:
+        raise ValueError("geometric service mean must be finite and >= 1")
     if chi == 1.0:
         return ServiceDist("geometric", 1.0, 0.0, Pmf.point_mass(1))
     p = 1.0 / chi
@@ -214,10 +214,10 @@ def make_geometric_mixture(chi: float, cv_target: float) -> ServiceDist:
     sqrt(1 - 1/chi) is feasible; at the boundary the mixture degenerates
     to the plain geometric law.
     """
-    if chi < 1.0:
-        raise ValueError("mixture service mean must be >= 1")
-    if cv_target <= 0.0:
-        raise ValueError("target CV must be positive")
+    if not 1.0 <= chi < math.inf:
+        raise ValueError("mixture service mean must be finite and >= 1")
+    if not 0.0 < cv_target < math.inf:
+        raise ValueError("target CV must be positive and finite")
     cv_geo = math.sqrt(1.0 - 1.0 / chi)
     if cv_target <= cv_geo + 1e-9:
         if cv_target < cv_geo - 1e-3:

@@ -52,8 +52,8 @@ class Segment:
     def __post_init__(self):
         if not self.start < self.end:
             raise ValueError("segment must have positive length")
-        if self.density < 0.0:
-            raise ValueError("segment density must be nonnegative")
+        if not 0.0 <= self.density < math.inf:
+            raise ValueError("segment density must be nonnegative and finite")
 
     @property
     def mass(self) -> float:

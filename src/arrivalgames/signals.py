@@ -77,10 +77,13 @@ def conditional_split(p: float, q: float, lam: float) -> tuple[
     """Mean population sizes seen by a customer, conditional on own signal.
 
     Returns (nu_a, nu_b) where nu_i = lam * (P(other reads a | own signal i),
-    P(other reads b | own signal i)).
+    P(other reads b | own signal i)). A signal that is never observed
+    (q = 1 with p = 0 or 1) has no conditional law: ``ValueError``.
     """
-    _check_pq(p, q)
     pa, pb = signal_marginals(p, q)
+    for name, marginal in zip("ab", (pa, pb)):
+        if marginal == 0.0:
+            raise ValueError(f"signal {name} is never observed at p = {p!r}, q = {q!r}")
     aa = (p * q * q + (1.0 - p) * (1.0 - q) * (1.0 - q)) / pa
     ba = (p * q * (1.0 - q) + (1.0 - p) * (1.0 - q) * q) / pa
     ab = (p * (1.0 - q) * q + (1.0 - p) * q * (1.0 - q)) / pb

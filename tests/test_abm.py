@@ -16,24 +16,23 @@ from arrivalgames.abm import (
     theta,
 )
 from arrivalgames.dists import make_deterministic, make_geometric
+from arrivalgames.fluid import FluidParams
+from arrivalgames.signals import SignalParams
 from arrivalgames.workload import ArrivalStrategy, SlotGame, workload_profile
 
 
 def small_cfg(**kw):
-    base = dict(
-        pool=12,
-        lam=4.0,
-        days=400,
-        p=0.5,
-        q=0.9,
-        x_a=make_geometric(4),
-        x_b=make_geometric(2),
-        tau=3,
-        n_slots=5,
-        seed=11,
-    )
-    base.update(kw)
-    return AbmConfig(**base)
+    """The small ABM setting; keywords of SignalParams go to the signal."""
+    signal = dict(lam=4.0, p=0.5, q=0.9, x_a=make_geometric(4), x_b=make_geometric(2))
+    base = dict(tau=3, n_slots=5, pool=12, days=400, seed=11)
+    for key, value in kw.items():
+        (signal if key in signal else base)[key] = value
+    return AbmConfig(SignalParams(**signal), **base)
+
+
+# The exponential model of the coupled-path experiment: 5 + 5 arrivals on
+# [0, 60], believed service rates 0.25 and 0.5.
+DOMINANCE = FluidParams(5.0, 5.0, 0.25, 0.5, 60.0)
 
 
 class TestTheta:
@@ -57,6 +56,11 @@ class TestTheta:
             theta(1, 0.0, 0.005)
         with pytest.raises(ValueError):
             theta(-1, 1.0, 0.005)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_non_finite_visit_count(self, x):
+        with pytest.raises(ValueError, match="visit count must be nonnegative and finite"):
+            theta(x, 1.0, 0.005)
 
     @pytest.mark.parametrize("c1, c2", [(math.nan, 0.005), (1.0, math.nan), (math.inf, 0.005), (1.0, math.inf)])
     def test_rejects_non_finite_params(self, c1, c2):
@@ -101,23 +105,23 @@ class TestChooseSlot:
 class TestSimulateDay:
     def test_single_arrival_waits_nothing(self):
         rng = np.random.default_rng(3)
-        waits = simulate_day([(0, 2)], make_geometric(3), 2, rng)
+        waits = simulate_day([2], make_geometric(3), 2, rng)
         assert waits[0] == 0.0
 
     def test_same_slot_cohort_fcfs(self):
         rng = np.random.default_rng(4)
-        waits = simulate_day([(0, 0), (1, 0)], make_deterministic(2), 3, rng)
+        waits = simulate_day([0, 0], make_deterministic(2), 3, rng)
         assert sorted(waits) == [0.0, 2.0]
 
     def test_cohort_work_conservation(self):
         rng = np.random.default_rng(5)
         for m in (2, 3, 5):
-            waits = simulate_day([(k, 0) for k in range(m)], make_deterministic(3), 1, rng)
+            waits = simulate_day([0] * m, make_deterministic(3), 1, rng)
             assert sorted(waits) == [3.0 * j for j in range(m)]
 
     def test_backlog_carries_and_drains(self):
         rng = np.random.default_rng(6)
-        waits = simulate_day([(0, 0), (1, 1)], make_deterministic(5), 3, rng)
+        waits = simulate_day([0, 1], make_deterministic(5), 3, rng)
         assert waits[0] == 0.0 and waits[1] == pytest.approx(2.0)
 
     def test_pooled_means_match_recursion(self):
@@ -133,9 +137,9 @@ class TestSimulateDay:
         counts = np.zeros(n_slots)
         for _ in range(60_000):
             sizes = rng.poisson(lam * probs)
-            arrivals = [(0, t) for t in range(n_slots) for _ in range(sizes[t])]
-            waits = simulate_day(arrivals, service, tau, rng)
-            for (_, slot), w in zip(arrivals, waits):
+            slots = [t for t in range(n_slots) for _ in range(sizes[t])]
+            waits = simulate_day(slots, service, tau, rng)
+            for slot, w in zip(slots, waits):
                 sums[slot] += w
                 counts[slot] += 1
         visited = counts > 0
@@ -158,6 +162,21 @@ class TestRunAbm:
          ("days", 0, "day count"), ("pool", 12.5, "agent pool"), ("pool", math.nan, "agent pool")],
     )
     def test_rejects_bad_learning_settings(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("pool, lam", [(3, 4.0), (12, 12.5)])
+    def test_rejects_more_daily_arrivals_than_agents(self, pool, lam):
+        with pytest.raises(ValueError, match="cannot exceed the pool size"):
+            small_cfg(pool=pool, lam=lam)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("p", 1.5, "mode probability"), ("p", math.nan, "mode probability"),
+         ("q", 0.5, "signal correctness"), ("lam", math.inf, "population mean"),
+         ("x_b", make_geometric(5), "slow-mode mean")],
+    )
+    def test_signal_is_checked_by_signal_params(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             small_cfg(**{field: value})
 
@@ -194,8 +213,9 @@ class TestRunAbm:
         cfg = small_cfg(days=2000)
         res = run_abm(cfg)
         mean_daily = res.decisions.mean()
-        sigma = math.sqrt(cfg.lam * (1 - cfg.join_prob) / cfg.days)
-        assert abs(mean_daily - cfg.lam) <= 3 * sigma
+        lam = cfg.signal.lam
+        sigma = math.sqrt(lam * (1 - cfg.join_prob) / cfg.days)
+        assert abs(mean_daily - lam) <= 3 * sigma
 
     def test_indistinguishable_beliefs_converge_together(self):
         cfg = small_cfg(
@@ -260,17 +280,32 @@ def dominates_by_epoch(times, jobs_a, jobs_b):
 class TestCoupledDominance:
     def test_dominance_holds_on_all_paths(self):
         rng = np.random.default_rng(12)
-        rep = coupled_dominance(5, 5, None, None, 0.25, 0.5, 60, 300, rng)
+        rep = coupled_dominance(DOMINANCE, None, None, 300, rng)
         assert rep.dominance_holds and rep.violating_paths == 0
 
     def test_equal_rates_identical_paths(self):
+        # equal rates make the coupled jobs, and so both systems' paths,
+        # identical: no excess anywhere
         rng = np.random.default_rng(13)
-        rep = coupled_dominance(5, 5, None, None, 0.5, 0.5, 60, 100, rng)
-        assert rep.dominance_holds and rep.max_workload_gap == 0.0
+        for _ in range(100):
+            times = np.sort(rng.uniform(0.0, 60.0, rng.poisson(10) + 1))
+            jobs = rng.exponential(2.0, times.size)
+            assert _path_dominates(times, jobs, jobs) == (True, 0.0)
+
+    @pytest.mark.parametrize(
+        "mu_a, mu_b, match",
+        [(0.5, 0.5, "must exceed mu_a"), (0.5, 0.25, "must exceed mu_a"),
+         (0.0, 0.5, "positive and finite"), (0.25, math.nan, "positive and finite")],
+    )
+    def test_rates_are_checked_by_fluid_params(self, mu_a, mu_b, match):
+        with pytest.raises(ValueError, match=match):
+            coupled_dominance(
+                FluidParams(5.0, 5.0, mu_a, mu_b, 60.0), None, None, 10, np.random.default_rng(0)
+            )
 
     def test_decoupled_negative_control(self):
         rng = np.random.default_rng(14)
-        rep = coupled_dominance(5, 5, None, None, 0.25, 0.5, 60, 300, rng, coupled=False)
+        rep = coupled_dominance(DOMINANCE, None, None, 300, rng, coupled=False)
         assert not rep.dominance_holds
         assert rep.violating_paths >= 1
 
@@ -278,7 +313,7 @@ class TestCoupledDominance:
         rng = np.random.default_rng(15)
         f_a = ArrivalStrategy.point_mass(20)
         f_b = np.full(20, 0.05)
-        rep = coupled_dominance(3, 3, f_a, f_b, 0.25, 0.5, 60, 100, rng)
+        rep = coupled_dominance(FluidParams(3.0, 3.0, 0.25, 0.5, 60.0), f_a, f_b, 100, rng)
         assert rep.dominance_holds
 
     def test_workload_path_is_the_lindley_recursion(self):
@@ -330,10 +365,10 @@ class TestCoupledDominance:
         assert _path_dominates(times, fast, slow) == (False, 2.0)
 
     def test_fluid_profile_stream(self):
-        from arrivalgames.fluid import FluidParams, solve_case
+        from arrivalgames.fluid import solve_case
 
         params = FluidParams(1.0, 2.0, 1.0, 2.0, 1.0)
         eq = solve_case(params, "ii")
         rng = np.random.default_rng(16)
-        rep = coupled_dominance(1, 2, (eq, "a"), (eq, "b"), 1.0, 2.0, 1.0, 100, rng)
+        rep = coupled_dominance(params, (eq, "a"), (eq, "b"), 100, rng)
         assert rep.dominance_holds

@@ -80,20 +80,7 @@ def abm_comparison():
     br = iterated_best_response(game, cfg)
     sig = SignalParams(10.0, 0.5, 0.9, x_a, x_b)
     fr = solve_fr(sig, 3, 20, cfg)
-    abm = run_abm(
-        AbmConfig(
-            pool=40,
-            lam=10.0,
-            days=4000,
-            p=0.5,
-            q=0.9,
-            x_a=x_a,
-            x_b=x_b,
-            tau=3,
-            n_slots=20,
-            seed=2026,
-        )
-    )
+    abm = run_abm(AbmConfig(sig, tau=3, n_slots=20, pool=40, days=4000, seed=2026))
     return game, br, fr, abm
 
 
@@ -223,10 +210,11 @@ def test_criterion_7_workload_vs_monte_carlo():
 @pytest.mark.criterion("8 (pathwise coupling dominance)")
 def test_criterion_8_coupling_dominance():
     rng = np.random.default_rng(808)
-    rep = coupled_dominance(5.0, 5.0, None, None, 0.25, 0.5, 60.0, 1000, rng)
+    exponential = FluidParams(5.0, 5.0, 0.25, 0.5, 60.0)
+    rep = coupled_dominance(exponential, None, None, 1000, rng)
     assert rep.dominance_holds and rep.paths_checked == 1000
     rng = np.random.default_rng(809)
-    control = coupled_dominance(5.0, 5.0, None, None, 0.25, 0.5, 60.0, 1000, rng, coupled=False)
+    control = coupled_dominance(exponential, None, None, 1000, rng, coupled=False)
     assert control.violating_paths >= 1
 
 

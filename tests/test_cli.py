@@ -1,10 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from arrivalgames import cli
 from arrivalgames.cli import (
     EXIT_INVALID_PARAMS,
+    EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC_FAILURE,
     EXIT_OK,
     EXIT_PARSE,
@@ -115,6 +118,23 @@ class TestScenarioParsing:
     def test_unknown_mode(self, tmp_path):
         path = write(tmp_path, "[scenario]\nmode = nonsense\n")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (FLUID_SCENARIO.replace("[scenario]\nmode = fluid\nseed = 5\n", ""),
+             "needs a [scenario] block"),
+            ("[scenario]\nmode = discrete_br\n", "needs a [game] block"),
+            (BR_SCENARIO.replace("service = geometric", "service = weibull"),
+             "unknown service family 'weibull'"),
+        ],
+        ids=["no_scenario_block", "no_game_block", "unknown_service"],
+    )
+    def test_malformed_scenario_exits_2_without_outputs(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, text)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_field(self, tmp_path):
         path = write(tmp_path, "[scenario]\nmode = fluid\n[fluid]\nlambda_a = 1\n")
@@ -307,6 +327,27 @@ class TestSignalMode:
         assert read_summary(out) == want
 
 
+class TestUnobservedSignal:
+    # With q = 1 and p = 0 or 1 every customer reads the same signal, so
+    # the other signal has no posterior.
+    @pytest.mark.parametrize("p, never", [("1", "b"), ("0", "a")])
+    @pytest.mark.parametrize("mode", ["signal", "discrete_fr"])
+    def test_posterior_modes_exit_4_without_outputs(self, tmp_path, capsys, mode, p, never):
+        path = write(tmp_path, ABM_SCENARIO.replace("mode = abm", f"mode = {mode}"))
+        out = tmp_path / "o"
+        args = ["run", str(path), "--out", str(out), "--override", f"signal.p={p}"]
+        assert main(args + ["--override", "signal.q=1"]) == EXIT_INVALID_PARAMS
+        assert f"signal {never} is never observed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_abm_needs_no_posterior(self, tmp_path):
+        path = write(tmp_path, ABM_SCENARIO)
+        out = tmp_path / "o"
+        args = ["run", str(path), "--out", str(out), "--override", "signal.p=1"]
+        assert main(args + ["--override", "signal.q=1"]) == EXIT_OK
+        assert read_summary(out)["abm.contributing_b"] == "0"
+
+
 class TestGameFields:
     # discrete_fr and abm read tau, slots and the service laws from
     # [game]; the populations come from [signal].
@@ -387,6 +428,22 @@ class TestNonConvergence:
         assert "br.converged = False" in (out / "summary.txt").read_text()
         assert "did not converge" in capsys.readouterr().err
 
+    def test_converged_but_unverified_solve_exits_3(self, tmp_path, capsys):
+        # the fluid game at T = 1.75 and N = 100: the alternation converges,
+        # but its off-support violation is 5.9e-4 against the gate of 5e-4
+        text = BR_SCENARIO.replace("lambda_a = 2", "lambda_a = 100").replace(
+            "lambda_b = 2", "lambda_b = 200"
+        ).replace("tau = 2", "tau = 1").replace("slots = 6", "slots = 350").replace(
+            "service = geometric", "service = deterministic"
+        ).replace("chi_a = 4", "chi_a = 2").replace("chi_b = 2", "chi_b = 1")
+        path = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_NO_CONVERGENCE
+        assert sorted(p.name for p in out.iterdir()) == ["cdf.csv", "summary.txt"]
+        summary = read_summary(out)
+        assert (summary["br.converged"], summary["br.passed"]) == ("True", "False")
+        assert "did not pass verification" in capsys.readouterr().err
+
 
 class TestNumericFailure:
     def test_exit_code_and_no_outputs(self, tmp_path, capsys):
@@ -397,6 +454,25 @@ class TestNumericFailure:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+class TestAtomicWrite:
+    def test_failed_rename_leaves_no_outputs(self, tmp_path, monkeypatch):
+        renamed = []
+
+        def replace(src, dst):
+            if renamed:
+                raise OSError("disk full")
+            renamed.append(dst)
+            os.rename(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        path = write(tmp_path, BR_SCENARIO)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", str(path), "--out", str(out)])
+        assert len(renamed) == 1
+        assert list(out.iterdir()) == []
 
 
 class TestSupportBudget:
@@ -425,3 +501,16 @@ class TestCompareMode:
             assert data[-1, 1] == pytest.approx(1.0, abs=1e-9)
         summary = (out / "summary.txt").read_text()
         assert "dist.abm_vs_fr_a" in summary and "dist.abm_vs_br_b" in summary
+
+    def test_bad_abm_block_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def solve(*args):
+            pytest.fail("a solve ran before the [abm] block was checked")
+
+        monkeypatch.setattr(cli, "iterated_best_response", solve)
+        monkeypatch.setattr(cli, "solve_fr", solve)
+        text = ABM_SCENARIO.replace("mode = abm", "mode = compare").replace("pool = 10", "pool = 0")
+        path = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_INVALID_PARAMS
+        assert "agent pool" in capsys.readouterr().err
+        assert not out.exists()

@@ -77,6 +77,11 @@ class TestServiceConstructors:
         with pytest.raises(ValueError):
             make_geometric(0.9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_geometric_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="geometric service mean must be finite and >= 1"):
+            make_geometric(bad)
+
     def test_geometric_cv_identity(self):
         for chi in (1.5, 2.0, 4.0, 7.3):
             g = make_geometric(chi)
@@ -100,6 +105,32 @@ class TestServiceConstructors:
         with pytest.raises(ValueError):
             make_geometric_mixture(1.0, 0.8)
 
+    @pytest.mark.parametrize(
+        "chi, cv, match",
+        [
+            (0.9, 2.0, "mixture service mean must be finite and >= 1"),
+            (math.nan, 2.0, "mixture service mean must be finite and >= 1"),
+            (math.inf, 2.0, "mixture service mean must be finite and >= 1"),
+            (4.0, 0.0, "target CV must be positive and finite"),
+            (4.0, math.nan, "target CV must be positive and finite"),
+            (4.0, math.inf, "target CV must be positive and finite"),
+            (4.0, 0.5, "below geometric CV"),
+            # one ulp above a unit mean, the moment equations' denominator
+            # rounds to zero
+            (1.0 + 2.0**-52, math.sqrt(1.0 - 1.0 / (1.0 + 2.0**-52)) + 1.01e-9, "infeasible"),
+            # at a unit mean the weight of the unit point mass is one
+            (1.0, 0.8, "infeasible"),
+        ],
+    )
+    def test_mixture_rejects(self, chi, cv, match):
+        with pytest.raises(ValueError, match=match):
+            make_geometric_mixture(chi, cv)
+
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, math.nan])
+    def test_mix_services_rejects_weight(self, weight):
+        with pytest.raises(ValueError, match="mixture weight must lie in"):
+            mix_services(make_deterministic(4), make_deterministic(2), weight)
+
     def test_mix_services_mean(self):
         z = mix_services(make_deterministic(4), make_deterministic(2), 0.9)
         assert z.chi == pytest.approx(3.8, abs=1e-15)
@@ -116,6 +147,19 @@ class TestServiceValidation:
     def test_rejects_all_zero_pmf(self):
         with pytest.raises(ValueError, match="miss mass"):
             ServiceDist("x", 3.0, 0.0, Pmf(np.zeros(3)))
+
+    @pytest.mark.parametrize("chi", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_mean(self, chi):
+        with pytest.raises(ValueError, match="service mean must be positive and finite"):
+            ServiceDist("x", chi, 0.0, Pmf.point_mass(2))
+
+    def test_rejects_zero_service_time(self):
+        with pytest.raises(ValueError, match="positive integers"):
+            ServiceDist("x", 1.0, 0.0, Pmf(np.array([0.5, 0.0, 0.5])))
+
+    def test_rejects_mean_off_the_pmf(self):
+        with pytest.raises(ValueError, match="mean inconsistent"):
+            ServiceDist("x", 3.0, 0.0, Pmf.point_mass(2))
 
 
 class TestCompoundPoisson:
@@ -216,6 +260,21 @@ class TestPmfValidation:
     def test_rejects_understated_tail_bound(self):
         with pytest.raises(ValueError):
             Pmf(np.array([0.5]), tail_bound=0.1)
+
+    @pytest.mark.parametrize("bound", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_tail_bound(self, bound):
+        with pytest.raises(ValueError, match="tail_bound must be nonnegative and finite"):
+            Pmf(np.array([0.5, 0.5]), tail_bound=bound)
+
+    @pytest.mark.parametrize("mass", [np.zeros((2, 2)), np.zeros(0)])
+    def test_rejects_non_vector(self, mass):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            Pmf(mass)
+
+    @pytest.mark.parametrize("k", [-1, 2.5, math.nan, math.inf])
+    def test_point_mass_rejects(self, k):
+        with pytest.raises(ValueError, match="point mass location must be a nonnegative integer"):
+            Pmf.point_mass(k)
 
     def test_immutable(self):
         p = Pmf.point_mass(2)

@@ -171,6 +171,29 @@ class TestCdf:
             eq.cdf("a", 1.5)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("field", ["lam_a", "lam_b", "mu_a", "mu_b", "horizon"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_params_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dataclasses.replace(fig2_params(2.0), **{field: value})
+
+    @pytest.mark.parametrize("mu_b", [1.0, 0.5])
+    def test_params_need_faster_optimists(self, mu_b):
+        with pytest.raises(ValueError, match="mu_b must exceed mu_a"):
+            fig2_params(mu_b)
+
+    @pytest.mark.parametrize("start, end", [(1.0, 1.0), (1.0, 0.5), (0.0, math.nan)])
+    def test_segment_needs_positive_length(self, start, end):
+        with pytest.raises(ValueError, match="positive length"):
+            Segment(start, end, 1.0)
+
+    @pytest.mark.parametrize("density", [-1.0, math.nan, math.inf])
+    def test_segment_density_nonnegative_and_finite(self, density):
+        with pytest.raises(ValueError, match="segment density must be nonnegative and finite"):
+            Segment(0.0, 1.0, density)
+
+
 class TestVerify:
     def test_case_i_exact(self):
         p = fig2_params(1.5)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from arrivalgames import dists
 from arrivalgames.dists import (
     DEFAULT_TAIL_TOL,
+    NumericFailure,
     SupportBudgetError,
     compound_poisson,
     make_deterministic,
@@ -166,9 +167,10 @@ class TestBudget:
         assert time.perf_counter() - t0 < 1.0
 
     def test_service_past_budget_fails_before_allocating(self):
-        for chi in (1e6, math.inf):
-            with pytest.raises(SupportBudgetError):
-                make_geometric(chi)
+        # an infinite mean is out of range, not past the budget: see
+        # test_dists.py::TestServiceConstructors::test_geometric_rejects
+        with pytest.raises(SupportBudgetError):
+            make_geometric(1e6)
         with pytest.raises(SupportBudgetError):
             make_geometric_mixture(4.0, 1e4)
 
@@ -182,3 +184,20 @@ class TestBudget:
         state = stepper.advance(stepper.initial(), 10.0)
         assert time.perf_counter() - t0 < 10.0
         assert 1.0 - state.v.sum() <= state.tail
+
+
+@pytest.mark.parametrize("service", [make_deterministic(2), make_geometric(3)], ids=["thin", "fft"])
+@pytest.mark.parametrize(
+    "v, match",
+    [
+        ([math.inf], "non-finite mass"),
+        ([-1.0], "< 0"),
+        ([2.0], "total mass"),
+        ([0.5], "lost mass"),
+    ],
+    ids=["non_finite", "negative", "over_one", "lost_mass"],
+)
+def test_kernel_checks_its_output(service, v, match):
+    # inputs no checked law can carry reach each invariant of the step
+    with pytest.raises(NumericFailure, match=match), np.errstate(all="ignore"):
+        dists._add_compound(np.array(v), 0.0, 1.0, service)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,11 @@ class TestMarginals:
         with pytest.raises(ValueError):
             signal_marginals(0.5, 0.5)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_rejects_bad_mode_probability(self, p):
+        with pytest.raises(ValueError, match="mode probability p must lie in"):
+            signal_marginals(p, 0.9)
+
 
 class TestConditionalSplit:
     def test_reference_values(self):
@@ -46,6 +53,14 @@ class TestConditionalSplit:
     def test_degenerate_prior(self):
         nu_a, _ = conditional_split(0.0, 0.9, 1.0)
         assert nu_a[0] == pytest.approx(0.1) and nu_a[1] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("p, never", [(1.0, "b"), (0.0, "a")])
+    def test_unobserved_signal_rejected(self, p, never):
+        # a perfect signal of a certain mode: one signal has probability 0
+        with pytest.raises(ValueError, match=f"signal {never} is never observed"):
+            conditional_split(p, 1.0, 10.0)
+        with pytest.raises(ValueError, match=f"signal {never} is never observed"):
+            posterior_views(params(p=p, q=1.0))
 
     def test_total_population_law(self):
         rng = np.random.default_rng(4)

@@ -109,8 +109,9 @@ def test_private_names_are_used_in_src():
 
 
 def test_public_surface_is_pinned():
-    # A new public name, solver setting, parameter of a solve entry point
-    # or result field shows in a diff as an edit of this test.
+    # A new public name, solver setting, input record field, parameter of
+    # a solve or simulation entry point or result field shows in a diff as
+    # an edit of this test.
     assert sorted(arrivalgames.__all__) == [
         "AbmConfig", "AbmResult", "ArrivalStrategy",
         "DEFAULT_TAIL_TOL", "DominanceReport", "EquilibriumReport",
@@ -130,6 +131,10 @@ def test_public_surface_is_pinned():
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
         for cls in (
             SolverConfig,
+            arrivalgames.SlotGame,
+            arrivalgames.SignalParams,
+            arrivalgames.FluidParams,
+            arrivalgames.AbmConfig,
             arrivalgames.EquilibriumReport,
             arrivalgames.WorkloadProfile,
             arrivalgames.FluidEquilibrium,
@@ -140,6 +145,10 @@ def test_public_surface_is_pinned():
     }
     assert fields == {
         "SolverConfig": ["eps", "delta", "max_outer", "max_bisect"],
+        "SlotGame": ["lam_a", "lam_b", "tau", "n_slots", "x_a", "x_b"],
+        "SignalParams": ["lam", "p", "q", "x_a", "x_b"],
+        "FluidParams": ["lam_a", "lam_b", "mu_a", "mu_b", "horizon"],
+        "AbmConfig": ["signal", "tau", "n_slots", "pool", "days", "c1", "c2", "seed"],
         "EquilibriumReport": [
             "wbar_a", "wbar_b", "support_a", "support_b", "max_support_spread",
             "max_offsupport_violation", "iterations", "converged", "stalled",
@@ -166,6 +175,9 @@ def test_public_surface_is_pinned():
             arrivalgames.verify_equilibrium,
             arrivalgames.solve_fr,
             arrivalgames.workload_profile,
+            arrivalgames.run_abm,
+            arrivalgames.simulate_day,
+            arrivalgames.coupled_dominance,
         )
     }
     assert params == {
@@ -174,4 +186,7 @@ def test_public_surface_is_pinned():
         "verify_equilibrium": ["game", "p_a", "p_b", "tol"],
         "solve_fr": ["params", "tau", "n_slots", "cfg"],
         "workload_profile": ["game", "p_a", "p_b", "belief", "mass_tol"],
+        "run_abm": ["cfg"],
+        "simulate_day": ["slots", "service", "tau", "rng"],
+        "coupled_dominance": ["params", "f_a", "f_b", "n_paths", "rng", "coupled"],
     }

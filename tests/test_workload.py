@@ -66,6 +66,10 @@ class TestArrivalStrategy:
         with pytest.raises(InvalidStrategyError):
             ArrivalStrategy(np.array(bad, dtype=float))
 
+    def test_zero_strategy_cannot_be_normalized(self):
+        with pytest.raises(ValueError, match="zero strategy"):
+            ArrivalStrategy(np.zeros(3)).normalized()
+
     def test_rebuilds_from_a_strategy(self):
         s = ArrivalStrategy(np.array([0.25, -1e-13, 0.75]))
         again = ArrivalStrategy(s)
