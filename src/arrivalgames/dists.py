@@ -14,11 +14,15 @@ jump law's transform ``X_n`` kept per FFT length; for short ones
 the multiples of each atom (Embrechts and Frei 2009, "Panjer recursion
 versus FFT for compound distributions"). A Chernoff bound sets the
 window so that both the dropped mass and the dropped first moment stay
-within tolerance. A window longer than a fixed size is then cut at the
-first entry past which its remaining first moment, and so its remaining
-mass, is within tolerance too: FFT round-off and the Poisson tail never
-reach exact zeros, and without the cut supports grow slot by slot. The
-kernel carries the lost mass, the cut's included, as a float.
+within tolerance; the bound is unimodal in s, so a walk on scalars from
+where the last search ended finds its minimum over a fixed grid. A window
+longer than a fixed size is then cut at the first entry past which its
+remaining first moment, and so its remaining mass, is within tolerance
+too: FFT round-off and the Poisson tail never reach exact zeros, and
+without the cut supports grow slot by slot. The kernel carries the lost
+mass, the cut's included, as a float. A step on a short law costs a
+couple of dozen numpy calls, not arithmetic, so the kernel makes as few
+as it can: index vectors are views of one shared array, grown on demand.
 ``compound_poisson`` is the same kernel applied to a point mass at zero.
 """
 
@@ -64,6 +68,22 @@ class NumericFailure(RuntimeError):
 
 class SupportBudgetError(ValueError):
     """An input needs a support past the kernel's fixed size budget."""
+
+
+_INDEX = np.arange(0.0)
+
+
+def _index(n: int) -> np.ndarray:
+    """0.0, 1.0, ..., n - 1 as a read-only view of one shared array, which
+    grows by doubling when a longer one is asked for (lazily, so importing
+    the library allocates none of it)."""
+    global _INDEX
+    index = _INDEX
+    if index.size < n:
+        index = np.arange(float(max(n, min(2 * index.size, _MAX_SUPPORT))))
+        index.flags.writeable = False
+        _INDEX = index
+    return index[:n]
 
 
 def _trim_trailing_zeros(arr: np.ndarray) -> np.ndarray:
@@ -277,14 +297,14 @@ class _JumpLaw:
         self.deficit = max(0.0, 1.0 - float(weights.sum()))
         self.thin = atoms.size <= _THINNING_ATOMS
         self.atoms = list(zip(atoms.tolist(), weights.tolist()))
-        # M(s) - 1 and M'(s) of the jump law on a grid of s wide enough for
-        # every rate: from far below the reach of the longest atom to far
-        # above that of the shortest.
-        self.s = np.geomspace(1e-3 / atoms[-1], 40.0 / atoms[0], _CHERNOFF_POINTS)
-        grow = np.empty_like(self.s)
-        slope = np.empty_like(self.s)
+        # s, M(s) - 1 and M'(s) of the jump law on a grid of s wide enough
+        # for every rate: from far below the reach of the longest atom to
+        # far above that of the shortest.
+        grid = np.geomspace(1e-3 / atoms[-1], 40.0 / atoms[0], _CHERNOFF_POINTS)
+        grow = np.empty_like(grid)
+        slope = np.empty_like(grid)
         with np.errstate(over="ignore"):
-            for i, s in enumerate(self.s):
+            for i, s in enumerate(grid):
                 e = np.expm1(s * atoms)
                 grow[i] = weights @ e
                 slope[i] = (weights * atoms) @ (e + 1.0)
@@ -292,8 +312,9 @@ class _JumpLaw:
         # overflowing.
         useless = ~((grow < 1e150) & (slope < 1e150))
         grow[useless] = slope[useless] = np.inf
-        self.mgf_m1 = grow - self.deficit
-        self.dmgf = slope
+        self.grid = list(zip(grid.tolist(), (grow - self.deficit).tolist(), slope.tolist()))
+        # The grid point where the last cutoff search ended.
+        self._best = _CHERNOFF_POINTS // 2
         self._spectra: dict[int, np.ndarray] = {}
         self._log_factorial = np.zeros(1)
 
@@ -301,9 +322,30 @@ class _JumpLaw:
         """A length L with E[(k + S); S >= L] <= tol for the compound sum S
         at rate lam: exp(-sL) E[(k + S) exp(sS)] at the best s of the grid.
         It bounds both the mass and the first moment of what a window of
-        k - 1 + L entries drops from a workload law of k entries plus S."""
-        exponent = lam * self.mgf_m1 + np.log(k + lam * self.dmgf) - math.log(tol)
-        return float((exponent / self.s).min())
+        k - 1 + L entries drops from a workload law of k entries plus S.
+
+        The bound at s is L(s) = psi(s) / s with psi(s) = lam (M(s) - 1) +
+        log(k + lam M'(s)) - log(tol) = log(E[(k + S) exp(sS)] / tol), which
+        is convex with psi(0) > 0. So s psi'(s) - psi(s), the numerator of
+        L'(s), grows with s, and L falls, then rises. The search walks the
+        grid downhill from where the last one ended, on Python floats and
+        numpy's log, so it returns the same value as the minimum over the
+        whole grid in one vector pass. Its left walk crosses ties, so it
+        leaves the run of infinite bounds at the grid's top end."""
+        grid, log_tol = self.grid, math.log(tol)
+
+        def bound(i: int) -> float:
+            s, grow, slope = grid[i]
+            return (lam * grow + float(np.log(k + lam * slope)) - log_tol) / s
+
+        i = self._best
+        best = bound(i)
+        while i > 0 and not (left := bound(i - 1)) > best:
+            i, best = i - 1, left
+        while i + 1 < len(grid) and (right := bound(i + 1)) < best:
+            i, best = i + 1, right
+        self._best = i
+        return best
 
     def floor(self, lam: float) -> float:
         """Mass the compound law misses because the jump law is truncated."""
@@ -329,10 +371,15 @@ class _JumpLaw:
             mu = lam * x
             # a rate that underflows to zero leaves the point mass at zero
             m = (n - 1) // j + 1 if mu > 0.0 else 1
-            count = np.exp(np.arange(m) * math.log(mu or 1.0) - mu - self._log_factorial[:m])
-            lattice = np.zeros((m - 1) * j + 1)
-            lattice[::j] = count
-            h = lattice if h is None else np.convolve(h, lattice)[:n]
+            count = _index(m) * math.log(mu or 1.0)
+            count -= mu
+            count -= self._log_factorial[:m]
+            np.exp(count, out=count)
+            if j > 1:
+                lattice = np.zeros((m - 1) * j + 1)
+                lattice[::j] = count
+                count = lattice
+            h = count if h is None else np.convolve(h, count)[:n]
         return h * math.exp(-lam * self.deficit) if self.deficit else h
 
 
@@ -393,7 +440,7 @@ def _add_compound(
         return _trim_trailing_zeros(c), bound
     # The first moment of the entries from index j >= 1 on is at least
     # their mass, so one reverse cumulative sum of it places the cut.
-    moment = np.cumsum((np.arange(c.size) * c)[::-1])
+    moment = np.cumsum((_index(c.size) * c)[::-1])
     end = max(c.size - int(np.searchsorted(moment, DEFAULT_TAIL_TOL, "right")), 1)
     return c[:end], bound + float(c[end:].sum())
 

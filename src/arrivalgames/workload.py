@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .dists import (
     Pmf,
     ServiceDist,
     _add_compound,
+    _index,
 )
 # Unused here: bench/tracer.py wraps both names in this namespace, and
 # tests/test_bench_hooks.py checks that they stay importable from it.
@@ -138,30 +140,36 @@ def _as_probs(p, n_slots: int, mass_tol: float) -> np.ndarray:
 
 
 def _collapse_shift(c: np.ndarray, tau: int) -> np.ndarray:
-    """Drain tau units from the workload-plus-arrivals law ``c``: its mass
-    at or below tau collapses onto zero and the remainder shifts left by
-    tau."""
+    """Drain tau units from the workload-plus-arrivals law ``c``, a fresh
+    window that this overwrites: its mass at or below tau collapses onto
+    entry tau, and the window from there on, shifted left by tau, is
+    returned as a view."""
     if c.size <= tau + 1:
         return np.array([float(c.sum())])
-    return np.concatenate(([float(c[: tau + 1].sum())], c[tau + 1 :]))
+    c[tau] = c[: tau + 1].sum()
+    return c[tau:]
 
 
-@dataclass(frozen=True)
-class SlotState:
-    """Workload law just before a slot, as a plain array, with the carried
-    bound on its missing mass and its direct and telescoped means. A
-    ``Pmf`` given as ``v`` is unwrapped into its array and bound."""
-
+class _SlotFields(NamedTuple):
     slot: int
     v: np.ndarray
     ev: float
     ev_tel: float
-    tail: float = 0.0
+    tail: float
 
-    def __post_init__(self):
-        if isinstance(self.v, Pmf):
-            object.__setattr__(self, "tail", self.v.tail_bound)
-            object.__setattr__(self, "v", self.v.mass)
+
+class SlotState(_SlotFields):
+    """Workload law just before a slot, as a plain array, with the carried
+    bound on its missing mass and its direct and telescoped means. A
+    ``Pmf`` given as ``v`` is unwrapped into its array and bound. A tuple,
+    so it is immutable and cheap to build."""
+
+    __slots__ = ()
+
+    def __new__(cls, slot: int, v, ev: float, ev_tel: float, tail: float = 0.0):
+        if isinstance(v, Pmf):
+            v, tail = v.mass, v.tail_bound
+        return super().__new__(cls, slot, v, ev, ev_tel, tail)
 
 
 class WorkloadStepper:
@@ -187,7 +195,10 @@ class WorkloadStepper:
         """State after the slot's arrivals at mean count ``load`` and
         ``slots`` slots of draining: the ``slots - 1`` slots after this
         one take no arrivals, and one collapse-and-shift drains all of
-        them. The mean cross-check spans the whole step.
+        them. The mean cross-check spans the whole step. The collapse
+        writes into the kernel's fresh window and keeps a view of it; at
+        load 0 the kernel hands back the caller's law, which is copied
+        first.
 
         The step's mean falls by at most ``slots * tau`` and rises by the
         arriving work, ``load`` times the mean of the truncated jump law,
@@ -199,12 +210,20 @@ class WorkloadStepper:
         """
         c, tail = _add_compound(state.v, state.tail, load, self.service)
         drain = self.tau * slots
-        head = c[: min(drain, c.size)]
-        idle_credit = float((drain - np.arange(head.size)) @ head)
+        if c is state.v:  # the kernel hands back the caller's law at load 0
+            c = c.copy()
+        if drain == 1 and c.size > 1:
+            # One unit slot, the most common step, on scalars: the same sums.
+            idle_credit = float(c[0])
+            c[1] += c[0]
+            v_next = c[1:]
+        else:
+            head = c[:drain]
+            idle_credit = float((drain - _index(head.size)) @ head)
+            v_next = _collapse_shift(c, drain)
         ev_tel = state.ev_tel + load * self.service.chi - drain + idle_credit
-        v_next = _collapse_shift(c, drain)
         v_next.flags.writeable = False
-        ev = float(np.arange(v_next.size) @ v_next)
+        ev = float(_index(v_next.size) @ v_next)
         t_next = state.slot + slots
         # Both means are exact up to truncation dust, which grows with the
         # support size and the number of slots composed so far.

@@ -22,8 +22,9 @@ from arrivalgames.dists import (
     make_geometric_mixture,
     mix_services,
 )
-from arrivalgames.workload import SlotState, WorkloadStepper, _collapse_shift
+from arrivalgames.workload import SlotState, WorkloadStepper
 from test_dists import brute_force_compound
+from test_workload import collapse_shift
 
 
 def _service(family: str, chi: float, second: int):
@@ -81,7 +82,7 @@ class TestAdvanceProperties:
         v /= v.sum()
         out = WorkloadStepper(service, tau).advance(_state(v), lam)
 
-        want = _collapse_shift(np.convolve(v, _compound_oracle(lam, service)), tau)
+        want = collapse_shift(np.convolve(v, _compound_oracle(lam, service)), tau)
         assert _max_abs_diff(out.v, want) <= 1e-10
 
         assert 1.0 - out.v.sum() <= out.tail + 1e-15
@@ -106,7 +107,7 @@ class TestTailCut:
         state = _state(_decaying_law(data, data.draw(st.integers(dists._CUT_MIN + 1, 1500))))
         for _ in range(3):
             out = stepper.advance(state, lam)
-            want = _collapse_shift(np.convolve(state.v, h), tau)
+            want = collapse_shift(np.convolve(state.v, h), tau)
             assert _max_abs_diff(out.v, want) <= 1e-10
             assert 1.0 - out.v.sum() <= out.tail + 1e-15
 
@@ -148,6 +149,102 @@ class TestTailCut:
         v /= v.sum()
         padded = np.concatenate([v, np.full(3000, 1e-30)])
         assert stepper.advance(_state(padded), 5.0).v.size <= stepper.advance(_state(v), 5.0).v.size
+
+
+def cutoff_oracle(law, lam: float, k: int, tol: float) -> float:
+    """`_JumpLaw.cutoff` as one vector pass over the whole grid of s."""
+    s, grow, slope = np.array(law.grid).T
+    exponent = lam * grow + np.log(k + lam * slope) - math.log(tol)
+    return float((exponent / s).min())
+
+
+def thinned_oracle(law, lam: float, n: int) -> np.ndarray:
+    """`_JumpLaw.thinned` with a fresh index and lattice per atom."""
+    h = None
+    for j, x in law.atoms:
+        mu = lam * x
+        m = (n - 1) // j + 1 if mu > 0.0 else 1
+        log_factorial = np.array([math.lgamma(i + 1.0) for i in range(m)])
+        count = np.exp(np.arange(m) * math.log(mu or 1.0) - mu - log_factorial)
+        lattice = np.zeros((m - 1) * j + 1)
+        lattice[::j] = count
+        h = lattice if h is None else np.convolve(h, lattice)[:n]
+    return h * math.exp(-lam * law.deficit) if law.deficit else h
+
+
+def add_compound_oracle(v: np.ndarray, tail: float, lam: float, service):
+    """`dists._add_compound` built from the oracles above and fresh arrays,
+    without its checks."""
+    if lam == 0.0:
+        return v, tail
+    law = service._as_jumps
+    k = v.size
+    m = k + max(int(math.ceil(cutoff_oracle(law, lam, k, DEFAULT_TAIL_TOL))), 1) - 1
+    if law.thin:
+        c = np.convolve(v, thinned_oracle(law, lam, m - k + 1))[:m]
+    else:
+        n = dists._FFT_SIZES[np.searchsorted(dists._FFT_SIZES, m)]
+        c = np.fft.irfft(np.fft.rfft(v, n) * np.exp(lam * law.spectrum(n)), n)[:m]
+    if c.min() < 0.0:
+        c = np.maximum(c, 0.0)
+    bound = tail + law.floor(lam) + DEFAULT_TAIL_TOL
+    if c.size <= dists._CUT_MIN:
+        return dists._trim_trailing_zeros(c), bound
+    moment = np.cumsum((np.arange(c.size) * c)[::-1])
+    end = max(c.size - int(np.searchsorted(moment, DEFAULT_TAIL_TOL, "right")), 1)
+    return c[:end], bound + float(c[end:].sum())
+
+
+def advance_oracle(stepper: WorkloadStepper, state: SlotState, load: float, slots: int):
+    """`WorkloadStepper.advance` on fresh arrays: the kernel oracle, then a
+    collapse into a new array, with index arrays made per step."""
+    c, tail = add_compound_oracle(state.v, state.tail, load, stepper.service)
+    drain = stepper.tau * slots
+    head = c[: min(drain, c.size)]
+    idle_credit = float((drain - np.arange(head.size)) @ head)
+    ev_tel = state.ev_tel + load * stepper.service.chi - drain + idle_credit
+    v_next = collapse_shift(c, drain)
+    ev = float(np.arange(v_next.size) @ v_next)
+    return state.slot + slots, v_next, ev, ev_tel, tail
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+class TestAgainstOracle:
+    """The kernel and the advance cut fixed costs, not arithmetic: they
+    give the same bits as their vectorised forms above."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_cutoff_is_the_grid_minimum(self, family, data):
+        service = _service(family, data.draw(st.floats(1.5, 5.0)), data.draw(st.integers(1, 5)))
+        law = service._as_jumps
+        # the walk starts wherever the last search ended
+        law._best = data.draw(st.integers(0, dists._CHERNOFF_POINTS - 1))
+        lam = data.draw(_log_uniform(1e-6, 2e3))
+        k = int(data.draw(_log_uniform(1.0, 1e5)))
+        assert law.cutoff(lam, k, DEFAULT_TAIL_TOL) == cutoff_oracle(law, lam, k, DEFAULT_TAIL_TOL)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_chained_advances_match_bit_for_bit(self, family, data):
+        service = _service(family, data.draw(st.floats(1.5, 5.0)), data.draw(st.integers(1, 5)))
+        stepper = WorkloadStepper(service, data.draw(st.integers(1, 3)))
+        v = _decaying_law(data, int(data.draw(_log_uniform(1.0, 5e3))))
+        ev = float(np.arange(v.size) @ v)
+        state = want = SlotState(0, v, ev, ev)
+        for _ in range(4):
+            load = data.draw(st.one_of(st.just(0.0), _log_uniform(1e-3, 400.0)))
+            slots = data.draw(st.integers(1, 3))
+            state = stepper.advance(state, load, slots)
+            slot, v_want, ev, ev_tel, tail = advance_oracle(stepper, want, load, slots)
+            assert state.v.tobytes() == v_want.tobytes()
+            assert (state.slot, state.ev, state.ev_tel, state.tail) == (slot, ev, ev_tel, tail)
+            want = SlotState(slot, v_want, ev, ev_tel, tail)
 
 
 class TestPaths:

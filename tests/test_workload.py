@@ -18,16 +18,24 @@ from arrivalgames.workload import (
     SlotGame,
     SlotState,
     WorkloadStepper,
-    _collapse_shift,
     workload_profile,
 )
+
+
+def collapse_shift(c: np.ndarray, tau: int) -> np.ndarray:
+    """Drain tau units from the workload-plus-arrivals law ``c`` into a new
+    array: its mass at or below tau collapses onto zero and the remainder
+    shifts left by tau. The kernel's in-place collapse must match it."""
+    if c.size <= tau + 1:
+        return np.array([float(c.sum())])
+    return np.concatenate(([float(c[: tau + 1].sum())], c[tau + 1 :]))
 
 
 def step_pmf(v: Pmf, h: Pmf, tau: int) -> Pmf:
     """One-slot update on checked laws, an oracle for the array kernel:
     add the arriving work, then drain tau units."""
     c = convolve(v, h)
-    return Pmf(_collapse_shift(c.mass, tau), c.tail_bound)
+    return Pmf(collapse_shift(c.mass, tau), c.tail_bound)
 
 
 def sample_pmf(pmf: Pmf, size: int, rng: np.random.Generator) -> np.ndarray:
