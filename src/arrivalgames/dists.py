@@ -135,6 +135,11 @@ class Pmf:
     def point_mass(cls, k: int) -> "Pmf":
         if not 0 <= k < math.inf or int(k) != k:
             raise ValueError("point mass location must be a nonnegative integer")
+        if not k < _MAX_SUPPORT:
+            raise SupportBudgetError(
+                f"a point mass at {k!r} needs {int(k) + 1} entries, past the budget of "
+                f"{_MAX_SUPPORT}"
+            )
         arr = np.zeros(int(k) + 1)
         arr[int(k)] = 1.0
         return cls(arr, 0.0)
@@ -173,6 +178,8 @@ class ServiceDist:
     def __post_init__(self):
         if not 0.0 < self.chi < math.inf:
             raise ValueError("service mean must be positive and finite")
+        if not 0.0 <= self.cv < math.inf:
+            raise ValueError("service CV must be nonnegative and finite")
         if self.pmf.mass[0] != 0.0:
             raise ValueError("service times must be positive integers")
         if self.pmf.tail_bound > 1e-9:
@@ -192,7 +199,8 @@ class ServiceDist:
 
 
 def make_deterministic(chi) -> ServiceDist:
-    """Point mass at an integer service time."""
+    """Point mass at an integer service time; past the support budget it
+    raises ``SupportBudgetError`` before allocating."""
     if not 1 <= chi < math.inf or chi != int(chi):
         raise ValueError("deterministic service time must be an integer >= 1")
     chi = int(chi)

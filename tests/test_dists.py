@@ -153,6 +153,12 @@ class TestServiceValidation:
         with pytest.raises(ValueError, match="service mean must be positive and finite"):
             ServiceDist("x", chi, 0.0, Pmf.point_mass(2))
 
+    @pytest.mark.parametrize("cv", [-0.5, math.nan, math.inf])
+    def test_rejects_bad_cv(self, cv):
+        # a NaN CV gave a NaN second moment, which mix_services carried on
+        with pytest.raises(ValueError, match="service CV must be nonnegative and finite"):
+            ServiceDist("x", 2.0, cv, Pmf.point_mass(2))
+
     def test_rejects_zero_service_time(self):
         with pytest.raises(ValueError, match="positive integers"):
             ServiceDist("x", 1.0, 0.0, Pmf(np.array([0.5, 0.0, 0.5])))

@@ -271,6 +271,15 @@ class TestBudget:
         with pytest.raises(SupportBudgetError):
             make_geometric_mixture(4.0, 1e4)
 
+    @pytest.mark.parametrize("k", [2**22, 1e9])
+    def test_point_mass_past_budget_fails_before_allocating(self, k):
+        # 2**22 used to build a 4 194 305-entry law; 1e9 would allocate 8 GB
+        for build in (make_deterministic, dists.Pmf.point_mass):
+            t0 = time.perf_counter()
+            with pytest.raises(SupportBudgetError, match="budget"):
+                build(k)
+            assert time.perf_counter() - t0 < 1.0
+
     def test_long_mixture_advance_finishes(self):
         # a 331 627-entry jump law: one compound law on it used to run for
         # more than a minute

@@ -3,6 +3,9 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -24,6 +27,29 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_import_builds_no_tables():
+    # Importing the library must not build tables that a solve may never
+    # need: every process pays for them in set-up time and memory (an
+    # eager np.arange(_MAX_SUPPORT) keeps 16 MB). The kernel grows what it
+    # uses on demand.
+    code = (
+        "import numpy, tracemalloc\n"
+        "tracemalloc.start()\n"
+        "import arrivalgames\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert int(out.stdout) < 1 << 20
 
 
 def test_no_environment_reads_in_src():
