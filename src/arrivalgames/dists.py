@@ -19,10 +19,13 @@ where the last search ended finds its minimum over a fixed grid. A window
 longer than a fixed size is then cut at the first entry past which its
 remaining first moment, and so its remaining mass, is within tolerance
 too: FFT round-off and the Poisson tail never reach exact zeros, and
-without the cut supports grow slot by slot. The kernel carries the lost
-mass, the cut's included, as a float. A step on a short law costs a
-couple of dozen numpy calls, not arithmetic, so the kernel makes as few
-as it can: index vectors are views of one shared array, grown on demand.
+without the cut supports grow slot by slot. On the FFT path the trailing
+entries within round-off, a floor scaled by eps times the window's
+2-norm, go before that cut: over a long window their first moment alone
+passes the tolerance. The kernel carries the lost mass, the cuts'
+included, as a float. A step on a short law costs a couple of dozen
+numpy calls, not arithmetic, so the kernel makes as few as it can: index
+vectors are views of one shared array, grown on demand.
 ``compound_poisson`` is the same kernel applied to a point mass at zero.
 """
 
@@ -60,6 +63,10 @@ _CHERNOFF_POINTS = 128
 # Windows longer than this are cut where their tail is negligible; on
 # shorter ones the cut costs more than it saves.
 _CUT_MIN = 256
+
+# The FFT path's round-off floor per entry, per unit of the window's
+# 2-norm: twice the largest round-off seen, about 1.1 eps.
+_NOISE_FLOOR = 2.0 * float(np.finfo(float).eps)
 
 
 class NumericFailure(RuntimeError):
@@ -404,8 +411,9 @@ def _add_compound(
     one, and a deficit within the bound. A window of more than _CUT_MIN
     entries is then cut at the first entry past which the rest of its mass
     and first moment are both within DEFAULT_TAIL_TOL, which also drops
-    trailing zeros; a shorter one loses only its trailing zeros. Returns
-    the window and the bound on its missing mass, plus what the cut drops.
+    trailing zeros; on the FFT path its trailing entries within round-off
+    go first. A shorter one loses only its trailing zeros. Returns the
+    window and the bound on its missing mass, plus what the cuts drop.
     """
     if not math.isfinite(lam) or lam < 0.0:
         raise ValueError("compound rate must be finite and nonnegative")
@@ -446,10 +454,17 @@ def _add_compound(
         )
     if c.size <= _CUT_MIN:
         return _trim_trailing_zeros(c), bound
+    end = c.size
+    if not law.thin:
+        # An FFT leaves round-off of about eps times the window's 2-norm in
+        # every entry, which over a long window carries more first moment
+        # than the tolerance: the entries past the last one above a floor
+        # of that size are round-off, and go first.
+        end -= int((c[::-1] > _NOISE_FLOOR * math.sqrt(c @ c)).argmax())
     # The first moment of the entries from index j >= 1 on is at least
     # their mass, so one reverse cumulative sum of it places the cut.
-    moment = np.cumsum((_index(c.size) * c)[::-1])
-    end = max(c.size - int(np.searchsorted(moment, DEFAULT_TAIL_TOL, "right")), 1)
+    moment = np.cumsum((_index(end) * c[:end])[::-1])
+    end = max(end - int(np.searchsorted(moment, DEFAULT_TAIL_TOL, "right")), 1)
     return c[:end], bound + float(c[end:].sum())
 
 
