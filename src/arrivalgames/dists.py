@@ -413,12 +413,13 @@ def _add_compound(
     and first moment are both within DEFAULT_TAIL_TOL, which also drops
     trailing zeros; on the FFT path its trailing entries within round-off
     go first. A shorter one loses only its trailing zeros. Returns the
-    window and the bound on its missing mass, plus what the cuts drop.
+    window, a fresh array the caller may overwrite, and the bound on its
+    missing mass, plus what the cuts drop.
     """
     if not math.isfinite(lam) or lam < 0.0:
         raise ValueError("compound rate must be finite and nonnegative")
     if lam == 0.0:
-        return v, tail
+        return v.copy(), tail
     law = service._as_jumps
     k = v.size
     cut = law.cutoff(lam, k, DEFAULT_TAIL_TOL)

@@ -196,9 +196,7 @@ class WorkloadStepper:
         ``slots`` slots of draining: the ``slots - 1`` slots after this
         one take no arrivals, and one collapse-and-shift drains all of
         them. The mean cross-check spans the whole step. The collapse
-        writes into the kernel's fresh window and keeps a view of it; at
-        load 0 the kernel hands back the caller's law, which is copied
-        first.
+        writes into the kernel's fresh window and keeps a view of it.
 
         The step's mean falls by at most ``slots * tau`` and rises by the
         arriving work, ``load`` times the mean of the truncated jump law,
@@ -210,8 +208,6 @@ class WorkloadStepper:
         """
         c, tail = _add_compound(state.v, state.tail, load, self.service)
         drain = self.tau * slots
-        if c is state.v:  # the kernel hands back the caller's law at load 0
-            c = c.copy()
         if drain == 1 and c.size > 1:
             # One unit slot, the most common step, on scalars: the same sums.
             idle_credit = float(c[0])
