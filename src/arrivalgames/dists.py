@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -312,9 +313,9 @@ class _JumpLaw:
         self.deficit = max(0.0, 1.0 - float(weights.sum()))
         self.thin = atoms.size <= _THINNING_ATOMS
         self.atoms = list(zip(atoms.tolist(), weights.tolist()))
-        # s, M(s) - 1 and M'(s) of the jump law on a grid of s wide enough
-        # for every rate: from far below the reach of the longest atom to
-        # far above that of the shortest.
+        # M(s) - 1 and M'(s) of the jump law on a grid of s wide enough for
+        # every rate: from far below the reach of the longest atom to far
+        # above that of the shortest.
         grid = np.geomspace(1e-3 / atoms[-1], 40.0 / atoms[0], _CHERNOFF_POINTS)
         grow = np.empty_like(grid)
         slope = np.empty_like(grid)
@@ -327,7 +328,10 @@ class _JumpLaw:
         # overflowing.
         useless = ~((grow < 1e150) & (slope < 1e150))
         grow[useless] = slope[useless] = np.inf
-        self.grid = list(zip(grid.tolist(), (grow - self.deficit).tolist(), slope.tolist()))
+        # As arrays of C doubles, which cutoff reads as Python floats.
+        self.s = array("d", grid.tolist())
+        self.mgf_m1 = array("d", (grow - self.deficit).tolist())
+        self.dmgf = array("d", slope.tolist())
         # The grid point where the last cutoff search ended.
         self._best = _CHERNOFF_POINTS // 2
         self._spectra: dict[int, np.ndarray] = {}
@@ -347,17 +351,16 @@ class _JumpLaw:
         numpy's log, so it returns the same value as the minimum over the
         whole grid in one vector pass. Its left walk crosses ties, so it
         leaves the run of infinite bounds at the grid's top end."""
-        grid, log_tol = self.grid, math.log(tol)
+        s, grow, slope, log_tol = self.s, self.mgf_m1, self.dmgf, math.log(tol)
 
         def bound(i: int) -> float:
-            s, grow, slope = grid[i]
-            return (lam * grow + float(np.log(k + lam * slope)) - log_tol) / s
+            return (lam * grow[i] + float(np.log(k + lam * slope[i])) - log_tol) / s[i]
 
         i = self._best
         best = bound(i)
         while i > 0 and not (left := bound(i - 1)) > best:
             i, best = i - 1, left
-        while i + 1 < len(grid) and (right := bound(i + 1)) < best:
+        while i + 1 < len(s) and (right := bound(i + 1)) < best:
             i, best = i + 1, right
         self._best = i
         return best

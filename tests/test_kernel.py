@@ -153,8 +153,8 @@ class TestTailCut:
 
 def cutoff_oracle(law, lam: float, k: int, tol: float) -> float:
     """`_JumpLaw.cutoff` as one vector pass over the whole grid of s."""
-    s, grow, slope = np.array(law.grid).T
-    exponent = lam * grow + np.log(k + lam * slope) - math.log(tol)
+    s, mgf_m1, dmgf = (np.asarray(a) for a in (law.s, law.mgf_m1, law.dmgf))
+    exponent = lam * mgf_m1 + np.log(k + lam * dmgf) - math.log(tol)
     return float((exponent / s).min())
 
 
