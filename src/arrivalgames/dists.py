@@ -66,7 +66,8 @@ _CHERNOFF_POINTS = 128
 _CUT_MIN = 256
 
 # The FFT path's round-off floor per entry, per unit of the window's
-# 2-norm: twice the largest round-off seen, about 1.1 eps.
+# 2-norm: about twice the largest round-off measured on long windows,
+# 1.1 eps.
 _NOISE_FLOOR = 2.0 * float(np.finfo(float).eps)
 
 

@@ -139,15 +139,22 @@ def _as_probs(p, n_slots: int, mass_tol: float) -> np.ndarray:
     return probs
 
 
-def _collapse_shift(c: np.ndarray, tau: int) -> np.ndarray:
+def _collapse_shift(c: np.ndarray, tau: int) -> tuple[np.ndarray, float]:
     """Drain tau units from the workload-plus-arrivals law ``c``, a fresh
     window that this overwrites: its mass at or below tau collapses onto
     entry tau, and the window from there on, shifted left by tau, is
-    returned as a view."""
+    returned as a view, with the idle credit E[(tau - C)^+]."""
+    if tau == 1 and c.size > 1:
+        # One unit slot, the most common step, on scalars: the same sums.
+        idle_credit = float(c[0])
+        c[1] += c[0]
+        return c[1:], idle_credit
+    head = c[:tau]
+    idle_credit = float((tau - _index(head.size)) @ head)
     if c.size <= tau + 1:
-        return np.array([float(c.sum())])
+        return np.array([float(c.sum())]), idle_credit
     c[tau] = c[: tau + 1].sum()
-    return c[tau:]
+    return c[tau:], idle_credit
 
 
 class _SlotFields(NamedTuple):
@@ -208,15 +215,7 @@ class WorkloadStepper:
         """
         c, tail = _add_compound(state.v, state.tail, load, self.service)
         drain = self.tau * slots
-        if drain == 1 and c.size > 1:
-            # One unit slot, the most common step, on scalars: the same sums.
-            idle_credit = float(c[0])
-            c[1] += c[0]
-            v_next = c[1:]
-        else:
-            head = c[:drain]
-            idle_credit = float((drain - _index(head.size)) @ head)
-            v_next = _collapse_shift(c, drain)
+        v_next, idle_credit = _collapse_shift(c, drain)
         ev_tel = state.ev_tel + load * self.service.chi - drain + idle_credit
         v_next.flags.writeable = False
         ev = float(_index(v_next.size) @ v_next)
