@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -329,14 +328,19 @@ class _JumpLaw:
         # overflowing.
         useless = ~((grow < 1e150) & (slope < 1e150))
         grow[useless] = slope[useless] = np.inf
-        # As arrays of C doubles, which cutoff reads as Python floats.
-        self.s = array("d", grid.tolist())
-        self.mgf_m1 = array("d", (grow - self.deficit).tolist())
-        self.dmgf = array("d", slope.tolist())
+        # Memoryviews of the arrays, whose items cutoff reads as Python
+        # floats (the array module would add its shared library to the RSS).
+        self.s = memoryview(grid)
+        self.mgf_m1 = memoryview(grow - self.deficit)
+        self.dmgf = memoryview(slope)
         # The grid point where the last cutoff search ended.
         self._best = _CHERNOFF_POINTS // 2
         self._spectra: dict[int, np.ndarray] = {}
         self._log_factorial = np.zeros(1)
+
+    def __reduce__(self):
+        # Memoryviews do not pickle, so a copy is rebuilt from the jump law.
+        return _JumpLaw, (Pmf(self.mass, self.tail_bound),)
 
     def cutoff(self, lam: float, k: int, tol: float) -> float:
         """A length L with E[(k + S); S >= L] <= tol for the compound sum S

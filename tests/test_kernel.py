@@ -3,6 +3,7 @@ workload law on plain arrays, by FFT for long jump laws and by Poisson
 thinning for short ones."""
 
 import math
+import pickle
 import time
 from unittest import mock
 
@@ -22,6 +23,7 @@ from arrivalgames.dists import (
     make_geometric_mixture,
     mix_services,
 )
+from arrivalgames.solver import _DRIFT_ABS
 from arrivalgames.workload import SlotState, WorkloadStepper
 from test_dists import brute_force_compound
 from test_workload import collapse_shift
@@ -114,17 +116,16 @@ class TestTailCut:
             # The same step without the cut: the cut only shortens it, at
             # the first entry past which at most the tolerance in first
             # moment is left, and adds the mass it drops to the carried bound.
-            # On the FFT path it also drops a tail of round-off, entries
-            # within the floor of eps times the window's 2-norm (which
-            # the collapse can only raise).
+            # On the FFT path it first drops a tail of round-off, whose first
+            # moment must stay within the solver's drift margin for one slot.
             with mock.patch.object(dists, "_CUT_MIN", math.inf):
                 uncut = stepper.advance(state, lam)
             kept = out.v.size
             dropped = uncut.v[kept:]
             moment = np.arange(kept - 1, uncut.v.size) + tau
-            floor = 0.0 if service._as_jumps.thin else dists._NOISE_FLOOR * np.linalg.norm(uncut.v)
+            limit = DEFAULT_TAIL_TOL if service._as_jumps.thin else _DRIFT_ABS * (1.0 + tau)
             assert np.array_equal(out.v, uncut.v[:kept])
-            assert moment[1:] @ dropped <= DEFAULT_TAIL_TOL + floor * moment[1:].sum()
+            assert moment[1:] @ dropped <= limit
             assert DEFAULT_TAIL_TOL < moment @ uncut.v[kept - 1 :]
             assert out.tail >= uncut.tail + dropped.sum() * (1.0 - 1e-9)
             state = out
@@ -257,6 +258,14 @@ class TestPaths:
         assert two._as_jumps.thin
         assert not make_geometric(4)._as_jumps.thin
         assert not make_geometric_mixture(4, 1.74)._as_jumps.thin
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_used_law_pickles(self, family):
+        service = _service(family, 3.0, 2)
+        want = compound_poisson(2.0, service)
+        copy = pickle.loads(pickle.dumps(service))
+        got = compound_poisson(2.0, copy)
+        assert got.mass.tobytes() == want.mass.tobytes() and got.tail_bound == want.tail_bound
 
 
 class TestBudget:
