@@ -59,8 +59,9 @@ class AbmConfig:
 
     ``pool`` agents join each day independently with probability
     signal.lam / pool (at most one); ``days`` is the simulated horizon.
-    ``pool``, ``days``, ``tau`` and ``n_slots`` must be positive integers
-    and ``c1``, ``c2`` positive and finite, else ``ValueError``.
+    ``pool``, ``days``, ``tau`` and ``n_slots`` must be positive integers,
+    ``c1``, ``c2`` positive and finite and ``seed`` a nonnegative integer,
+    else ``ValueError``.
     """
 
     signal: SignalParams
@@ -79,6 +80,9 @@ class AbmConfig:
         if not self.signal.lam <= self.pool:
             raise ValueError("mean daily arrivals cannot exceed the pool size")
         _check_sigmoid(self.c1, self.c2)
+        if not (self.seed >= 0 and float(self.seed).is_integer()):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def join_prob(self) -> float:

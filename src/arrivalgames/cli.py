@@ -1,8 +1,9 @@
 """Scenario-driven command line front end.
 
 A scenario is an INI file with a ``[scenario]`` block naming the mode and
-parameter blocks for that mode. A mode reads only the fields it uses:
-of ``[game]``, only ``discrete_br`` reads ``lambda_a`` and ``lambda_b``
+parameter blocks for that mode. A block may hold only the fields that
+some mode reads from it, and a mode reads only the fields it uses: of
+``[game]``, only ``discrete_br`` reads ``lambda_a`` and ``lambda_b``
 (the other modes take the populations from ``[signal]``), and ``signal``
 reads neither ``tau`` nor ``slots``. Results are written as CSV tables
 of arrival CDFs plus a key-value summary, atomically (temp file +
@@ -10,14 +11,16 @@ rename), so a failed run leaves no partial outputs. Each solve's summary
 lines include the gate it was accepted at (``tol``) and the verdict
 there (``passed``).
 
-Exit codes: 0 success, 2 scenario parse/validation error, 3 a solve
-that did not converge or did not pass verification at its gate (outputs
-still written), 4 invalid model parameters, including a NaN or infinite
-population, a NaN or infinite ``[solver]`` value or ``[abm]`` sigmoid
-parameter, a fluid ``grid_n`` below 2, a signal that is never observed
-where its posterior is needed and a model past the workload kernel's
-support budget (no outputs written), 5 numerical failure of the solver
-(no outputs written).
+Exit codes: 0 success, 2 scenario parse/validation error (also an
+unknown block, an unknown field in any block and a ``[DEFAULT]`` block,
+in the file or as an override), 3 a solve that did not converge or did
+not pass verification at its gate (outputs still written), 4 invalid
+model parameters, including a NaN or infinite population, a NaN or
+infinite ``[solver]`` value or ``[abm]`` sigmoid parameter, a negative
+seed where the ABM runs, a fluid ``grid_n`` below 2, a signal that is
+never observed where its posterior is needed and a model past the
+workload kernel's support budget (no outputs written), 5 numerical
+failure of the solver (no outputs written).
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ from .solver import (
 )
 from .workload import SlotGame
 
-MODES = ("fluid", "discrete_br", "discrete_fr", "abm", "compare", "signal")
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NO_CONVERGENCE = 3
@@ -63,6 +64,20 @@ class ScenarioError(ValueError):
     """Scenario file is malformed or inconsistent."""
 
 
+# The fields each block may hold: the union over the modes that read it.
+_FIELDS = {
+    "scenario": {"mode", "seed"},
+    "fluid": {"lambda_a", "lambda_b", "mu_a", "mu_b", "horizon", "grid_n", "case"},
+    "game": {
+        "lambda_a", "lambda_b", "tau", "slots", "service", "chi_a", "chi_b",
+        "cv_a", "cv_b", "cv_scale",
+    },
+    "signal": {"lambda", "p", "q"},
+    "solver": {"eps", "delta", "max_outer"},
+    "abm": {"pool", "days", "c1", "c2"},
+}
+
+
 @dataclass
 class Scenario:
     mode: str
@@ -73,6 +88,8 @@ class Scenario:
         if not self.sections.has_option(section, key):
             if default is not None:
                 return default
+            if not self.sections.has_section(section):
+                raise ScenarioError(f"mode {self.mode!r} needs a [{section}] block")
             raise ScenarioError(f"missing field [{section}] {key}")
         raw = self.sections.get(section, key)
         try:
@@ -80,21 +97,21 @@ class Scenario:
         except ValueError as exc:
             raise ScenarioError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
-    def require(self, section: str) -> None:
-        if not self.sections.has_section(section):
-            raise ScenarioError(f"mode {self.mode!r} needs a [{section}] block")
-
 
 def load_scenario(path: str | Path, overrides: list[str] = (), seed: int | None = None) -> Scenario:
-    # Values are literal: a "%" is a character, not an interpolation.
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # Values are literal: a "%" is a character, not an interpolation. No
+    # header can name the empty default section, so a [DEFAULT] block is
+    # an ordinary block, which the field rule rejects.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), interpolation=None, default_section=""
+    )
     text = Path(path)
     if not text.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
         with open(text) as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
     for item in overrides:
         key, _, value = item.partition("=")
@@ -103,11 +120,14 @@ def load_scenario(path: str | Path, overrides: list[str] = (), seed: int | None 
         if not (section and field and value):
             raise ScenarioError(f"override must look like section.key=value, got {item!r}")
         if not parser.has_section(section):
-            try:
-                parser.add_section(section)
-            except ValueError as exc:
-                raise ScenarioError(f"bad override {item!r}: {exc}") from exc
+            parser.add_section(section)
         parser.set(section, field, value)
+    for section in parser.sections():
+        if section not in _FIELDS:
+            raise ScenarioError(f"unknown block [{section}]")
+        unknown = sorted(set(parser.options(section)) - _FIELDS[section])
+        if unknown:
+            raise ScenarioError(f"unknown field(s) in [{section}]: {', '.join(unknown)}")
     if not parser.has_section("scenario"):
         raise ScenarioError("scenario file needs a [scenario] block")
     mode = parser.get("scenario", "mode", fallback=None)
@@ -118,59 +138,38 @@ def load_scenario(path: str | Path, overrides: list[str] = (), seed: int | None 
     return scn
 
 
-def _service(scn: Scenario, section: str, which: str) -> ServiceDist:
-    family = scn.get(section, "service", str)
-    chi = scn.get(section, f"chi_{which}", float)
+def _service(scn: Scenario, which: str) -> ServiceDist:
+    family = scn.get("game", "service", str)
+    chi = scn.get("game", f"chi_{which}", float)
     if family == "deterministic":
         return make_deterministic(chi)
     if family == "geometric":
         return make_geometric(chi)
     if family == "mixture":
-        key = f"cv_{which}"
-        if scn.sections.has_option(section, key):
-            cv = scn.get(section, key, float)
-        else:
-            cv = scn.get(section, "cv_scale", float, 2.0) * math.sqrt(1.0 - 1.0 / chi)
-        return make_geometric_mixture(chi, cv)
+        # The builder checks the mean before the CV, so a bad mean reads NaN
+        # here and fails with its own message.
+        scale = scn.get("game", "cv_scale", float, 2.0)
+        cv = scale * math.sqrt(1.0 - 1.0 / chi) if chi >= 1.0 else math.nan
+        return make_geometric_mixture(chi, scn.get("game", f"cv_{which}", float, cv))
     raise ScenarioError(f"unknown service family {family!r}")
 
 
 def _slots(scn: Scenario) -> tuple[int, int]:
     """Slot length and slot count from [game]."""
-    scn.require("game")
     return scn.get("game", "tau", int), scn.get("game", "slots", int)
 
 
-def _slot_game(scn: Scenario) -> SlotGame:
-    tau, n_slots = _slots(scn)
-    return SlotGame(
-        lam_a=scn.get("game", "lambda_a", float),
-        lam_b=scn.get("game", "lambda_b", float),
-        tau=tau,
-        n_slots=n_slots,
-        x_a=_service(scn, "game", "a"),
-        x_b=_service(scn, "game", "b"),
-    )
-
-
 def _signal_params(scn: Scenario) -> SignalParams:
-    scn.require("signal")
-    scn.require("game")
     return SignalParams(
         lam=scn.get("signal", "lambda", float),
         p=scn.get("signal", "p", float),
         q=scn.get("signal", "q", float),
-        x_a=_service(scn, "game", "a"),
-        x_b=_service(scn, "game", "b"),
+        x_a=_service(scn, "a"),
+        x_b=_service(scn, "b"),
     )
 
 
 def _solver_config(scn: Scenario) -> SolverConfig:
-    if not scn.sections.has_section("solver"):
-        return SolverConfig()
-    unknown = sorted(set(scn.sections.options("solver")) - {"eps", "delta", "max_outer"})
-    if unknown:
-        raise ScenarioError(f"unknown field(s) in [solver]: {', '.join(unknown)}")
     return SolverConfig(
         eps=scn.get("solver", "eps", float, SolverConfig.eps),
         delta=scn.get("solver", "delta", float, SolverConfig.delta),
@@ -179,20 +178,16 @@ def _solver_config(scn: Scenario) -> SolverConfig:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(map(_fmt, value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _csv_lines(header: list[str], columns: list[np.ndarray]) -> list[str]:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    return lines
-
-
-def _summary_lines(pairs: list[tuple[str, object]]) -> list[str]:
-    return [f"{key} = {_fmt(value)}" for key, value in pairs]
+def _cdf_table(times: np.ndarray, f_a: np.ndarray, f_b: np.ndarray) -> list[str]:
+    rows = zip(times, f_a, f_b)
+    return ["time,F_a,F_b"] + [",".join(repr(float(v)) for v in row) for row in rows]
 
 
 def _report_pairs(prefix: str, rep) -> list[tuple[str, object]]:
@@ -211,7 +206,6 @@ def _report_pairs(prefix: str, rep) -> list[tuple[str, object]]:
 
 
 def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
-    scn.require("fluid")
     params = fluid_mod.FluidParams(
         lam_a=scn.get("fluid", "lambda_a", float),
         lam_b=scn.get("fluid", "lambda_b", float),
@@ -226,9 +220,7 @@ def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
     grid_n = scn.get("fluid", "grid_n", int, 1001)
     violation = fluid_mod.verify_fluid(params, eq, grid_n)
     grid = fluid_mod._verification_grid(eq, grid_n)
-    outputs["cdf.csv"] = _csv_lines(
-        ["time", "F_a", "F_b"], [grid, eq.cdf("a", grid), eq.cdf("b", grid)]
-    )
+    outputs["cdf.csv"] = _cdf_table(grid, eq.cdf("a", grid), eq.cdf("b", grid))
     pairs = [
         ("mode", "fluid"),
         ("cases.classified", " ".join(tags)),
@@ -250,12 +242,17 @@ def _slot_times(tau: int, n_slots: int) -> np.ndarray:
 
 
 def _run_discrete_br(scn: Scenario, outputs: dict) -> _Outcome:
-    game = _slot_game(scn)
-    cfg = _solver_config(scn)
-    pa, pb, rep = iterated_best_response(game, cfg)
-    outputs["cdf.csv"] = _csv_lines(
-        ["time", "F_a", "F_b"], [_slot_times(game.tau, game.n_slots), pa.cdf(), pb.cdf()]
+    tau, n_slots = _slots(scn)
+    game = SlotGame(
+        lam_a=scn.get("game", "lambda_a", float),
+        lam_b=scn.get("game", "lambda_b", float),
+        tau=tau,
+        n_slots=n_slots,
+        x_a=_service(scn, "a"),
+        x_b=_service(scn, "b"),
     )
+    pa, pb, rep = iterated_best_response(game, _solver_config(scn))
+    outputs["cdf.csv"] = _cdf_table(_slot_times(tau, n_slots), pa.cdf(), pb.cdf())
     return [("mode", "discrete_br")] + _report_pairs("br", rep), [rep]
 
 
@@ -265,13 +262,11 @@ def _run_discrete_fr(scn: Scenario, outputs: dict) -> _Outcome:
     cfg = _solver_config(scn)
     pa, pb, (rep_a, rep_b) = solve_fr(sig, tau, n_slots, cfg)
     view_a, view_b = posterior_views(sig)
-    outputs["cdf.csv"] = _csv_lines(
-        ["time", "F_a", "F_b"], [_slot_times(tau, n_slots), pa.cdf(), pb.cdf()]
-    )
+    outputs["cdf.csv"] = _cdf_table(_slot_times(tau, n_slots), pa.cdf(), pb.cdf())
     pairs = [
         ("mode", "discrete_fr"),
-        ("posterior.nu_a", f"{view_a.nu[0]!r} {view_a.nu[1]!r}"),
-        ("posterior.nu_b", f"{view_b.nu[0]!r} {view_b.nu[1]!r}"),
+        ("posterior.nu_a", view_a.nu),
+        ("posterior.nu_b", view_b.nu),
         ("posterior.zeta_a", view_a.zeta),
         ("posterior.zeta_b", view_b.zeta),
     ]
@@ -280,7 +275,6 @@ def _run_discrete_fr(scn: Scenario, outputs: dict) -> _Outcome:
 
 
 def _abm_config(scn: Scenario, sig: SignalParams, tau: int, n_slots: int) -> abm_mod.AbmConfig:
-    scn.require("abm")
     return abm_mod.AbmConfig(
         sig,
         tau,
@@ -297,9 +291,7 @@ def _run_abm(scn: Scenario, outputs: dict) -> _Outcome:
     sig = _signal_params(scn)
     tau, n_slots = _slots(scn)
     res = abm_mod.run_abm(_abm_config(scn, sig, tau, n_slots))
-    outputs["cdf.csv"] = _csv_lines(
-        ["time", "F_a", "F_b"], [_slot_times(tau, n_slots), res.cdf("a"), res.cdf("b")]
-    )
+    outputs["cdf.csv"] = _cdf_table(_slot_times(tau, n_slots), res.cdf("a"), res.cdf("b"))
     return [
         ("mode", "abm"),
         ("abm.days", res.days),
@@ -323,9 +315,9 @@ def _run_compare(scn: Scenario, outputs: dict) -> _Outcome:
     pa_fr, pb_fr, (rep_fr_a, rep_fr_b) = solve_fr(sig, tau, n_slots, cfg)
     res = abm_mod.run_abm(abm_cfg)
     times = _slot_times(tau, n_slots)
-    outputs["cdf_br.csv"] = _csv_lines(["time", "F_a", "F_b"], [times, pa_br.cdf(), pb_br.cdf()])
-    outputs["cdf_fr.csv"] = _csv_lines(["time", "F_a", "F_b"], [times, pa_fr.cdf(), pb_fr.cdf()])
-    outputs["cdf_abm.csv"] = _csv_lines(["time", "F_a", "F_b"], [times, res.cdf("a"), res.cdf("b")])
+    outputs["cdf_br.csv"] = _cdf_table(times, pa_br.cdf(), pb_br.cdf())
+    outputs["cdf_fr.csv"] = _cdf_table(times, pa_fr.cdf(), pb_fr.cdf())
+    outputs["cdf_abm.csv"] = _cdf_table(times, res.cdf("a"), res.cdf("b"))
     sup = lambda x, y: float(np.max(np.abs(x - y)))
     pairs = [("mode", "compare"), ("lambda_a", game_br.lam_a), ("lambda_b", game_br.lam_b)]
     pairs += _report_pairs("br", rep_br)
@@ -349,10 +341,10 @@ def _run_signal(scn: Scenario, outputs: dict) -> _Outcome:
         ("mode", "signal"),
         ("marginal_a", marg[0]),
         ("marginal_b", marg[1]),
-        ("nu_a", f"{view_a.nu[0]!r} {view_a.nu[1]!r}"),
-        ("nu_b", f"{view_b.nu[0]!r} {view_b.nu[1]!r}"),
-        ("eta_a", f"{view_a.eta[0]!r} {view_a.eta[1]!r}"),
-        ("eta_b", f"{view_b.eta[0]!r} {view_b.eta[1]!r}"),
+        ("nu_a", view_a.nu),
+        ("nu_b", view_b.nu),
+        ("eta_a", view_a.eta),
+        ("eta_b", view_b.eta),
         ("zeta_a", view_a.zeta),
         ("zeta_b", view_b.zeta),
     ], []
@@ -366,6 +358,7 @@ _RUNNERS = {
     "compare": _run_compare,
     "signal": _run_signal,
 }
+MODES = tuple(_RUNNERS)
 
 
 def _write_atomic(out_dir: Path, files: dict[str, list[str]]) -> None:
@@ -391,7 +384,8 @@ def _write_atomic(out_dir: Path, files: dict[str, list[str]]) -> None:
 def run_scenario(scn: Scenario, out_dir: str | Path) -> int:
     outputs: dict[str, list[str]] = {}
     pairs, reports = _RUNNERS[scn.mode](scn, outputs)
-    outputs["summary.txt"] = _summary_lines([("seed", scn.seed)] + pairs)
+    pairs = [("seed", scn.seed)] + pairs
+    outputs["summary.txt"] = [f"{key} = {_fmt(value)}" for key, value in pairs]
     _write_atomic(Path(out_dir), outputs)
     if not all(rep.converged and rep.passed for rep in reports):
         head = "solver did not converge or did not pass verification:"
@@ -416,12 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        scn = load_scenario(args.scenario, args.override, args.seed)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        return run_scenario(scn, args.out)
+        return run_scenario(load_scenario(args.scenario, args.override, args.seed), args.out)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -159,7 +159,8 @@ class TestRunAbm:
         "field, value, match",
         [("c1", math.nan, "sigmoid"), ("c2", math.nan, "sigmoid"), ("c1", math.inf, "sigmoid"),
          ("c2", 0.0, "sigmoid"), ("days", 2.5, "day count"), ("days", math.nan, "day count"),
-         ("days", 0, "day count"), ("pool", 12.5, "agent pool"), ("pool", math.nan, "agent pool")],
+         ("days", 0, "day count"), ("pool", 12.5, "agent pool"), ("pool", math.nan, "agent pool"),
+         ("seed", -1, "seed"), ("seed", 1.5, "seed"), ("seed", math.nan, "seed")],
     )
     def test_rejects_bad_learning_settings(self, field, value, match):
         with pytest.raises(ValueError, match=match):
@@ -181,7 +182,7 @@ class TestRunAbm:
             small_cfg(**{field: value})
 
     def test_integral_float_counts_run(self):
-        res = run_abm(small_cfg(pool=12.0, days=20.0, tau=3.0, n_slots=5.0))
+        res = run_abm(small_cfg(pool=12.0, days=20.0, tau=3.0, n_slots=5.0, seed=11.0))
         assert np.array_equal(res.pbar, run_abm(small_cfg(days=20)).pbar)
 
     def test_cdf_rejects_unknown_belief(self):

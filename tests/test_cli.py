@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,13 @@ class TestScenarioParsing:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
         assert not (tmp_path / "o").exists()
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_bytes(b"[scenario]\nmode = fluid\n# \xff\xfe\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert "scenario parse error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_mode(self, tmp_path):
         path = write(tmp_path, "[scenario]\nmode = nonsense\n")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
@@ -189,6 +197,36 @@ class TestScenarioParsing:
         assert "norm" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "text, override, message",
+        [
+            (FLUID_SCENARIO.replace("seed = 5", "sed = 5"), None, "[scenario]: sed"),
+            (FLUID_SCENARIO.replace("grid_n = 21", "grid = 21"), None, "[fluid]: grid"),
+            (BR_SCENARIO.replace("slots = 6", "slot = 6"), None, "[game]: slot"),
+            (SIGNAL_SCENARIO.replace("lambda = 10", "lamda = 10"), None, "[signal]: lamda"),
+            (ABM_SCENARIO.replace("days = 200", "day = 200"), None, "[abm]: day"),
+            (FLUID_SCENARIO.replace("[fluid]", "[flud]"), None, "unknown block [flud]"),
+            (FLUID_SCENARIO, "foo.bar=1", "unknown block [foo]"),
+            (FLUID_SCENARIO + "\n[DEFAULT]\nmu_b = 4\n", None, "unknown block [DEFAULT]"),
+        ],
+        ids=["scenario", "fluid", "game", "signal", "abm", "block", "override_block", "default"],
+    )
+    def test_unknown_block_or_field_exits_2_without_outputs(
+        self, tmp_path, capsys, text, override, message
+    ):
+        path = write(tmp_path, text)
+        out = tmp_path / "o"
+        args = ["run", str(path), "--out", str(out)]
+        assert main(args + (["--override", override] if override else [])) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shipped_scenarios_hold_only_known_fields(self):
+        paths = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.ini"))
+        assert paths
+        for path in paths:
+            load_scenario(path)
+
     def test_bad_override_rejected(self, tmp_path):
         path = write(tmp_path, FLUID_SCENARIO)
         assert main(["run", str(path), "--out", str(tmp_path / "o"), "--override", "nonsense"]) == EXIT_PARSE
@@ -242,6 +280,31 @@ class TestFluidMode:
         assert data[0, 0] == 0.0 and data[0, 2] == 0.5
         summary = (out / "summary.txt").read_text()
         assert "cases.solved = ii" in summary
+
+    def test_case_picks_among_classified_tags(self, tmp_path):
+        # both degenerate cases apply here, and auto takes the first
+        text = FLUID_SCENARIO.replace("lambda_a = 1", "lambda_a = 0.5").replace(
+            "lambda_b = 2", "lambda_b = 0.5"
+        ).replace("mu_a = 1", "mu_a = 0.25").replace("mu_b = 2", "mu_b = 0.593").replace(
+            "horizon = 1", "horizon = 3.5"
+        )
+        for case, solved in (("auto", "v"), ("vi", "vi")):
+            path = write(tmp_path, f"{text}case = {case}\n", f"{case}.ini")
+            out = tmp_path / case
+            assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+            summary = read_summary(out)
+            assert (summary["cases.classified"], summary["cases.solved"]) == ("v vi", solved)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [("vii", "unknown case tag 'vii'"), ("i", "case 'i' does not apply")],
+    )
+    def test_bad_case_exits_4_without_outputs(self, tmp_path, capsys, case, message):
+        path = write(tmp_path, f"{FLUID_SCENARIO}case = {case}\n")
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_INVALID_PARAMS
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cdf_columns_monotone_and_complete(self, tmp_path):
         path = write(tmp_path, FLUID_SCENARIO)
@@ -384,6 +447,15 @@ class TestGameFields:
         summary = read_summary(out)
         assert (summary["br.wbar_a"], summary["br.wbar_b"]) == (repr(rep.wbar_a), repr(rep.wbar_b))
 
+    @pytest.mark.parametrize("chi", ["0", "0.5", "nan"])
+    def test_mixture_mean_is_checked_first(self, tmp_path, capsys, chi):
+        text = BR_SCENARIO.replace("service = geometric", "service = mixture")
+        path = write(tmp_path, text.replace("chi_a = 4", f"chi_a = {chi}"))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_INVALID_PARAMS
+        assert "mixture service mean must be finite and >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_summary_reports_acceptance_gate(self, tmp_path):
         path = write(tmp_path, BR_SCENARIO)
         out = tmp_path / "out"
@@ -502,15 +574,21 @@ class TestCompareMode:
         summary = (out / "summary.txt").read_text()
         assert "dist.abm_vs_fr_a" in summary and "dist.abm_vs_br_b" in summary
 
-    def test_bad_abm_block_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--override", "abm.pool=0"], "agent pool"), (["--seed", "-1"], "seed")],
+        ids=["pool", "seed"],
+    )
+    def test_bad_abm_block_fails_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
         def solve(*args):
             pytest.fail("a solve ran before the [abm] block was checked")
 
         monkeypatch.setattr(cli, "iterated_best_response", solve)
         monkeypatch.setattr(cli, "solve_fr", solve)
-        text = ABM_SCENARIO.replace("mode = abm", "mode = compare").replace("pool = 10", "pool = 0")
-        path = write(tmp_path, text)
+        path = write(tmp_path, ABM_SCENARIO.replace("mode = abm", "mode = compare"))
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == EXIT_INVALID_PARAMS
-        assert "agent pool" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(out)] + flags) == EXIT_INVALID_PARAMS
+        assert message in capsys.readouterr().err
         assert not out.exists()
