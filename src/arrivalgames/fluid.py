@@ -156,7 +156,10 @@ def solve_case(params: FluidParams, tag: str) -> FluidEquilibrium:
 
     For the degenerate cases v and vi (a continuum of equilibria exists)
     the canonical uniform-density representative is returned with
-    ``non_unique`` set.
+    ``non_unique`` set, as are cases iii and iv where a second profile,
+    type a all at the opening and type b uniform on [lam_a / mu_b, T],
+    verifies: mu_b >= 2 mu_a and (lam_a + lam_b) / mu_b < T <= lam_a /
+    (2 mu_a) + lam_b / mu_a.
     """
     if tag not in CASE_TAGS:
         raise InvalidCaseError(f"unknown case tag {tag!r}")
@@ -170,6 +173,7 @@ def solve_case(params: FluidParams, tag: str) -> FluidEquilibrium:
         params.horizon,
     )
     x1, x2, x3, x4 = thresholds(params)
+    second = mb >= 2.0 * ma and (la + lb) / mb < T <= la / (2.0 * ma) + lb / ma
     if tag == "i":
         return FluidEquilibrium(T, 1.0, 1.0, (), (), (la + lb) / 2.0)
     if tag == "ii":
@@ -180,14 +184,14 @@ def solve_case(params: FluidParams, tag: str) -> FluidEquilibrium:
     if tag == "iii":
         t_b = T - lb / mb
         seg_b = Segment(t_b, T, mb / lb)
-        return FluidEquilibrium(T, 1.0, 0.0, (), (seg_b,), la / 2.0)
+        return FluidEquilibrium(T, 1.0, 0.0, (), (seg_b,), la / 2.0, second)
     if tag == "iv":
         atom_a = (2.0 * ma / la) * (x4 - T)
         t_a = la * atom_a / (2.0 * ma)
         t_b = T - lb / mb
         segs_a = (Segment(t_a, t_b, ma / la),) if t_a < t_b else ()
         seg_b = Segment(t_b, T, mb / lb)
-        return FluidEquilibrium(T, atom_a, 0.0, segs_a, (seg_b,), la * atom_a / 2.0)
+        return FluidEquilibrium(T, atom_a, 0.0, segs_a, (seg_b,), la * atom_a / 2.0, second)
     if tag == "v":
         sol = _case_v_solution(params)
         atom_a, k, t_a, t_b = sol

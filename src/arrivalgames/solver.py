@@ -9,10 +9,9 @@ safeguarded secant search for the w̄ whose fill carries unit mass. Within
 an outer alternation it starts with a fill at the type's previous w̄ and
 a Newton step with the last secant slope of mass in w̄. The solver
 alternates best responses between the two types until the pair stops
-moving in the sup norm; a round that repeats the previous round's step
-moves the pair along that step to its next support change. Any point the
-alternation converges to is an equilibrium, which `verify_equilibrium`
-checks independently.
+moving in the sup norm at a pair that `verify_equilibrium` accepts with
+margin; a round that repeats the previous round's step moves the pair
+along that step to its next support change.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ def _check_search(eps: float, max_bisect: int) -> int:
 class SolverConfig:
     """Tolerances and caps for the best-response solver.
 
-    ``eps`` is the accepted deviation of total strategy mass from one and
-    ``delta`` the stopping distance between successive iterates; both
-    must be positive and finite.
+    ``eps``, positive and finite, is the accepted deviation of total
+    strategy mass from one, and the step between successive iterates
+    below which a solve checks its pair at verify_tol / 10 to converge.
     ``verify_tol`` is the reported verification tolerance (50 eps);
     ``stall_tol`` is the looser gate (200 eps) of the stall test, a
     backstop that accepts an alternation whose distance has stopped
@@ -78,14 +77,11 @@ class SolverConfig:
     """
 
     eps: float = 1e-5
-    delta: float = 1e-5
     max_outer: int = 500
     max_bisect: int = 200
 
     def __post_init__(self):
         object.__setattr__(self, "max_bisect", _check_search(self.eps, self.max_bisect))
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         object.__setattr__(self, "max_outer", _count(self.max_outer, "max_outer"))
 
     @property
@@ -439,7 +435,7 @@ def iterated_best_response(
     game: SlotGame, cfg: SolverConfig = SolverConfig()
 ) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
     """Alternate best responses from the all-at-opening start until the
-    pair stops moving, then verify.
+    pair stops moving at an equilibrium.
 
     With both supports fixed, each response sets the joint load
     lambda_a p_a + lambda_b p_b on its own support from its w̄ and the
@@ -448,11 +444,13 @@ def iterated_best_response(
     slots the two types ask for different joint loads there, and each
     round shifts the split in those slots by the same step until a slot
     empties: the plain alternation drifts without its distance ever
-    reaching ``delta``. So when a round's step repeats the round before's
-    within ``delta`` times its size, the pair moves along it to the first
-    entry that reaches zero, where the alternation itself would arrive.
-    Convergence is declared only by a round of responses that moves the
-    pair by less than ``delta``.
+    falling below ``eps``. So when a round's step repeats the round
+    before's within ``eps`` times its size, the pair moves along it to the
+    first entry that reaches zero, where the alternation itself would
+    arrive. A round that moves the pair by less than ``eps`` has the pair
+    verified, and the solve converges only on a pair that passes at
+    ``verify_tol / 10`` (a wait moves by about lambda chi / 2 times a step
+    in probability); that check is its report, at gate ``verify_tol``.
 
     Each type carries one fresh ``_Warm`` record through its responses of
     a solve. Its target stops the first round's responses to the
@@ -465,8 +463,8 @@ def iterated_best_response(
     at ``stall_tol``.
 
     Non-convergence within ``cfg.max_outer`` rounds is reported, not
-    raised; the report's ``converged`` flag and verification numbers let
-    the caller decide.
+    raised: the last pair is verified at ``verify_tol`` and reported with
+    ``converged`` False, so a converged report always has ``passed``.
     """
     pair = np.zeros((2, game.n_slots))
     pair[:, 0] = 1.0
@@ -476,9 +474,6 @@ def iterated_best_response(
         sa, sb = ArrivalStrategy(pair[0]).normalized(), ArrivalStrategy(pair[1]).normalized()
         return sa, sb, verify_equilibrium(game, sa, sb, tol)
 
-    converged = False
-    stalled = False
-    iterations = 0
     delta_checkpoint = math.inf
     last = None
     for iterations in range(1, cfg.max_outer + 1):
@@ -488,24 +483,23 @@ def iterated_best_response(
         prev, pair = pair, np.stack((pa, pb))
         step = pair - prev
         delta = float(np.abs(step).max())
-        if delta < cfg.delta:
-            converged = True
-            break
+        # A check that stops the loop is the solve's report.
+        if delta < cfg.eps:
+            sa, sb, report = verified(cfg.verify_tol)
+            if report.passes(0.1 * cfg.verify_tol):
+                break
         if iterations % 25 == 0:
             if delta > 0.5 * delta_checkpoint:
-                # A probe that passes is the solve's report.
                 sa, sb, report = verified(cfg.stall_tol)
                 if report.passed:
-                    converged = True
-                    stalled = True
+                    report.stalled = True
                     break
             delta_checkpoint = delta
-        pair, last = _translate(pair, step, last, cfg.delta), step
-    if not stalled:
+        pair, last = _translate(pair, step, last, cfg.eps), step
+    else:
         sa, sb, report = verified(cfg.verify_tol)
+        report.converged = False
     report.iterations = iterations
-    report.converged = converged
-    report.stalled = stalled
     report.monotonicity_violations = warm_a.violations + warm_b.violations
     return sa, sb, report
 

@@ -8,7 +8,6 @@ import pytest
 from arrivalgames import cli
 from arrivalgames.cli import (
     EXIT_INVALID_PARAMS,
-    EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC_FAILURE,
     EXIT_OK,
     EXIT_PARSE,
@@ -163,7 +162,7 @@ class TestScenarioParsing:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("override", ["solver.eps=nan", "solver.delta=nan", "solver.delta=inf"])
+    @pytest.mark.parametrize("override", ["solver.eps=nan", "solver.eps=inf"])
     def test_non_finite_solver_setting_exits_4_without_outputs(self, tmp_path, capsys, override):
         path = write(tmp_path, BR_SCENARIO)
         out = tmp_path / "o"
@@ -185,6 +184,19 @@ class TestScenarioParsing:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVALID_PARAMS
         assert "grid_n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [(SIGNAL_SCENARIO.replace("mode = signal", "mode = signal\nseed = -3"), []),
+         (BR_SCENARIO, ["--seed", "-3"])],
+        ids=["signal", "discrete_br"],
+    )
+    def test_negative_seed_exits_4_in_every_mode(self, tmp_path, capsys, text, flags):
+        path = write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)] + flags) == EXIT_INVALID_PARAMS
+        assert "seed must be a nonnegative integer, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_override_applies(self, tmp_path):
         path = write(tmp_path, FLUID_SCENARIO)
@@ -208,8 +220,12 @@ class TestScenarioParsing:
             (FLUID_SCENARIO.replace("[fluid]", "[flud]"), None, "unknown block [flud]"),
             (FLUID_SCENARIO, "foo.bar=1", "unknown block [foo]"),
             (FLUID_SCENARIO + "\n[DEFAULT]\nmu_b = 4\n", None, "unknown block [DEFAULT]"),
+            (BR_SCENARIO, "solver.delta=1", "[solver]: delta"),
         ],
-        ids=["scenario", "fluid", "game", "signal", "abm", "block", "override_block", "default"],
+        ids=[
+            "scenario", "fluid", "game", "signal", "abm", "block", "override_block", "default",
+            "solver",
+        ],
     )
     def test_unknown_block_or_field_exits_2_without_outputs(
         self, tmp_path, capsys, text, override, message
@@ -500,9 +516,10 @@ class TestNonConvergence:
         assert "br.converged = False" in (out / "summary.txt").read_text()
         assert "did not converge" in capsys.readouterr().err
 
-    def test_converged_but_unverified_solve_exits_3(self, tmp_path, capsys):
-        # the fluid game at T = 1.75 and N = 100: the alternation converges,
-        # but its off-support violation is 5.9e-4 against the gate of 5e-4
+    def test_fluid_limit_solve_converges_on_a_verified_pair(self, tmp_path):
+        # the fluid game at T = 1.75 and N = 100: a round that moved the pair
+        # by less than eps once ended the solve at an off-support violation
+        # of 5.9e-4 against the gate of 5e-4, and the run exited 3
         text = BR_SCENARIO.replace("lambda_a = 2", "lambda_a = 100").replace(
             "lambda_b = 2", "lambda_b = 200"
         ).replace("tau = 2", "tau = 1").replace("slots = 6", "slots = 350").replace(
@@ -510,11 +527,9 @@ class TestNonConvergence:
         ).replace("chi_a = 4", "chi_a = 2").replace("chi_b = 2", "chi_b = 1")
         path = write(tmp_path, text)
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == EXIT_NO_CONVERGENCE
-        assert sorted(p.name for p in out.iterdir()) == ["cdf.csv", "summary.txt"]
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
         summary = read_summary(out)
-        assert (summary["br.converged"], summary["br.passed"]) == ("True", "False")
-        assert "did not pass verification" in capsys.readouterr().err
+        assert (summary["br.converged"], summary["br.passed"]) == ("True", "True")
 
 
 class TestNumericFailure:

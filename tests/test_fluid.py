@@ -204,6 +204,27 @@ class TestVerify:
             p = fig2_params(mu_b)
             assert verify_fluid(p, solve_case(p, tag), 5000) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "mu_b, horizon, tag, second",
+        [(2.0, 1.75, "iv", True), (2.0, 2.0, "iv", True), (4.0, 1.0, "iii", True),
+         (4.0, 0.7, "iii", False), (2.0, 1.5, "iii", False), (2.0, 1.0, "ii", False)],
+    )
+    def test_second_equilibrium_is_flagged(self, mu_b, horizon, tag, second):
+        # type a all at the opening and type b uniform on [lam_a / mu_b, T]
+        # verifies exactly when mu_b >= 2 mu_a and (lam_a + lam_b) / mu_b <
+        # T <= lam_a / (2 mu_a) + lam_b / mu_a; at T = 1.5 with mu_b = 2 it
+        # is case iii's own profile, so nothing else is found there
+        p = fig2_params(mu_b, horizon)
+        start = p.lam_a / p.mu_b
+        other = FluidEquilibrium(
+            horizon, 1.0, 0.0, (), (Segment(start, horizon, 1.0 / (horizon - start)),), p.lam_a / 2
+        )
+        eq = solve_case(p, tag)
+        grid = np.linspace(0.0, horizon, 101)
+        differs = np.abs(eq.cdf("b", grid) - other.cdf("b", grid)).max() > 0.1
+        assert (verify_fluid(p, other, 5000) == 0.0 and differs) == second
+        assert eq.non_unique == second
+
     def test_negative_control(self):
         p = fig2_params(2.0)
         eq = solve_case(p, "ii")

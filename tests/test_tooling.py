@@ -170,7 +170,7 @@ def test_public_surface_is_pinned():
         )
     }
     assert fields == {
-        "SolverConfig": ["eps", "delta", "max_outer", "max_bisect"],
+        "SolverConfig": ["eps", "max_outer", "max_bisect"],
         "SlotGame": ["lam_a", "lam_b", "tau", "n_slots", "x_a", "x_b"],
         "SignalParams": ["lam", "p", "q", "x_a", "x_b"],
         "FluidParams": ["lam_a", "lam_b", "mu_a", "mu_b", "horizon"],
