@@ -352,14 +352,14 @@ class _JumpLaw:
         log(k + lam M'(s)) - log(tol) = log(E[(k + S) exp(sS)] / tol), which
         is convex with psi(0) > 0. So s psi'(s) - psi(s), the numerator of
         L'(s), grows with s, and L falls, then rises. The search walks the
-        grid downhill from where the last one ended, on Python floats and
-        numpy's log, so it returns the same value as the minimum over the
-        whole grid in one vector pass. Its left walk crosses ties, so it
-        leaves the run of infinite bounds at the grid's top end."""
+        grid downhill from where the last one ended, on Python floats, so it
+        returns the same value as the minimum over the whole grid. Its left
+        walk crosses ties, so it leaves the run of infinite bounds at the
+        grid's top end."""
         s, grow, slope, log_tol = self.s, self.mgf_m1, self.dmgf, math.log(tol)
 
         def bound(i: int) -> float:
-            return (lam * grow[i] + float(np.log(k + lam * slope[i])) - log_tol) / s[i]
+            return (lam * grow[i] + math.log(k + lam * slope[i]) - log_tol) / s[i]
 
         i = self._best
         best = bound(i)

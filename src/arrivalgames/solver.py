@@ -11,7 +11,8 @@ a Newton step with the last secant slope of mass in w̄. The solver
 alternates best responses between the two types until the pair stops
 moving in the sup norm at a pair that `verify_equilibrium` accepts with
 margin; a round that repeats the previous round's step moves the pair
-along that step to its next support change.
+along that step to its next support change. An alternation that stops
+contracting is finished by one joint solve of both equilibrium waits.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ _STALL_SCALE = 200.0
 _DRIFT_REL = 1e-9
 _DRIFT_ABS = 1e-9
 # A search's fill runs to the horizon, so that its mass is exact, unless
-# the mass passes one by more than this (or eps).
+# the mass passes one by more than this (or eps); a joint fill, unless
+# its total mass does.
 _EXACT_SPAN = 0.5
 
 
@@ -431,6 +433,120 @@ def _translate(
     return out / out.sum(axis=1, keepdims=True)
 
 
+def _joint_fill(
+    game: SlotGame, wbar_a: float, wbar_b: float, shared: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill every slot from both equilibrium waits in one forward pass.
+
+    Slot t takes the joint load L_t = max(0, (2/chi_a)(wbar_a - ev_a,t),
+    (2/chi_b)(wbar_b - ev_b,t)), with each type's mean workload from its
+    own stepper, so every slot's wait is at least w̄ for both types, and
+    equal to it for the one whose term is larger, which owns the slot.
+    The slot ``shared`` takes the mean of the two terms instead, which
+    keeps the total load smooth in both waits. Stops once the total load
+    passes (1 + ``_EXACT_SPAN``) (lam_a + lam_b). Returns the loads and
+    the gaps of a's term over b's: a slot is a's where its gap is at
+    least zero."""
+    n, cap = game.n_slots, (1.0 + _EXACT_SPAN) * (game.lam_a + game.lam_b)
+    step_a, step_b = (WorkloadStepper(game.service(x), game.tau) for x in "ab")
+    scale_a, scale_b = 2.0 / step_a.service.chi, 2.0 / step_b.service.chi
+    load, gap = np.zeros(n), np.zeros(n)
+    state_a, state_b = step_a.initial(), step_b.initial()
+    total = 0.0
+    for t in range(n):
+        term_a, term_b = scale_a * (wbar_a - state_a.ev), scale_b * (wbar_b - state_b.ev)
+        gap[t] = term_a - term_b
+        load[t] = max(0.0, 0.5 * (term_a + term_b) if t == shared else max(term_a, term_b))
+        total += load[t]
+        if total > cap or t + 1 == n:
+            break
+        state_a, state_b = step_a.advance(state_a, load[t]), step_b.advance(state_b, load[t])
+    return load, gap
+
+
+def _finish(
+    game: SlotGame, wbar: tuple[float, float], eps: float, budget: int
+) -> np.ndarray | None:
+    """Solve both equilibrium waits at once, from ``wbar``, by Broyden's
+    (1965) method on the joint fill. Returns the pair (one row per type)
+    with both masses within eps of one, or None when that fails within
+    ``budget`` joint fills.
+
+    Every joint fill meets both types' wait conditions, so only the
+    masses are left: the residuals are a's owned mass - 1 and the total
+    load / (lam_a + lam_b) - 1, and the search stops once both are below
+    min(1e-4 eps, 1e-9). The first Jacobian takes two forward differences.
+    a's mass jumps where a slot with load changes owner, so such a step
+    leaves the Jacobian as it is. A step that changes the sign of a's
+    residual through one such slot makes it shared: its gap over lam_a +
+    lam_b becomes the first residual, with the gap's forward differences
+    as that row, and its load is split so that a's mass is exactly one.
+    A step that does so through several slots is cut to pass only the
+    first, by the gaps' linear interpolation; slots whose gaps would
+    change sign together form a block that no single shared slot
+    describes, and the search gives up, as it does on a total load past
+    the fill's cap or a singular Jacobian."""
+    lam_a, lam_b = game.lam_a, game.lam_b
+    shared = None
+
+    def residual(w: np.ndarray):
+        load, gap = _joint_fill(game, w[0], w[1], shared)
+        if shared is None:
+            first = load[gap >= 0.0].sum() / lam_a - 1.0
+        else:
+            first = gap[shared] / (lam_a + lam_b)
+        return np.array([first, load.sum() / (lam_a + lam_b) - 1.0]), load, gap
+
+    w = np.array(wbar)
+    f, load, gap = residual(w)
+    if f[1] > _EXACT_SPAN:
+        return None
+    jac, slope = np.empty((2, 2)), np.empty((game.n_slots, 2))
+    for i in range(2):
+        h = 1e-7 * (1.0 + w[i])
+        f_h, _, gap_h = residual(w + h * np.eye(2)[i])
+        jac[:, i], slope[:, i] = (f_h - f) / h, (gap_h - gap) / h
+    fills, dw = 3, None
+    while not np.abs(f).max() < min(eps * 1e-4, 1e-9):
+        if fills >= budget:
+            return None
+        if dw is None:
+            # The Newton step with the 2 x 2 Jacobian, in closed form.
+            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+            if not det:
+                return None
+            dw = np.array([jac[0, 1] * f[1] - jac[1, 1] * f[0],
+                           jac[1, 0] * f[0] - jac[0, 0] * f[1]]) / det
+        f_new, load_new, gap_new = residual(w + dw)
+        fills += 1
+        if f_new[1] > _EXACT_SPAN:
+            return None
+        flips = np.flatnonzero(((gap_new >= 0.0) != (gap >= 0.0)) & (load > 0.0) & (load_new > 0.0))
+        if shared is None and flips.size and f[0] * f_new[0] < 0.0:
+            if flips.size > 1:
+                theta = np.sort(gap[flips] / (gap[flips] - gap_new[flips]))
+                if not theta[1] - theta[0] > 1e-9:
+                    return None
+                dw = 0.5 * (theta[0] + theta[1]) * dw
+                continue
+            shared = int(flips[0])
+            f[0], f_new[0] = (g[shared] / (lam_a + lam_b) for g in (gap, gap_new))
+            jac[0] = slope[shared] / (lam_a + lam_b)
+        if shared is not None or not flips.size:
+            jac += np.outer(f_new - f - jac @ dw, dw) / (dw @ dw)
+        w, f, load, gap, dw = w + dw, f_new, load_new, gap_new, None
+    own = gap >= 0.0
+    pair = np.zeros((2, game.n_slots))
+    pair[0, own], pair[1, ~own] = load[own] / lam_a, load[~own] / lam_b
+    if shared is not None:
+        pair[0, shared] = 0.0
+        pair[0, shared] = 1.0 - pair[0].sum()
+        pair[1, shared] = (load[shared] - lam_a * pair[0, shared]) / lam_b
+    if not (pair.min() >= 0.0 and np.abs(pair.sum(axis=1) - 1.0).max() < eps):
+        return None
+    return pair
+
+
 def iterated_best_response(
     game: SlotGame, cfg: SolverConfig = SolverConfig()
 ) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
@@ -458,6 +574,13 @@ def iterated_best_response(
     0.1 eps (inexact Newton, Dembo, Eisenstat and Steihaug 1982); later
     ones close as a direct call does.
 
+    The first round whose step is more than half the step two rounds
+    before, and each 25-round checkpoint whose distance has not halved,
+    call the joint finisher from both types' last w̄, with a budget of two
+    joint fills per round so far. Its pair replaces the alternation's
+    only if it passes at ``verify_tol / 10``, and that check is the
+    report; otherwise the alternation carries on as before.
+
     The stall test stays as a backstop: a distance that has not halved in
     25 rounds stops the loop once the current pair independently verifies
     at ``stall_tol``.
@@ -470,11 +593,13 @@ def iterated_best_response(
     pair[:, 0] = 1.0
     warm_a, warm_b = _Warm(target=0.1 * cfg.eps), _Warm(target=0.1 * cfg.eps)
 
-    def verified(tol: float) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
-        sa, sb = ArrivalStrategy(pair[0]).normalized(), ArrivalStrategy(pair[1]).normalized()
+    def verified(p, tol: float) -> tuple[ArrivalStrategy, ArrivalStrategy, EquilibriumReport]:
+        sa, sb = ArrivalStrategy(p[0]).normalized(), ArrivalStrategy(p[1]).normalized()
         return sa, sb, verify_equilibrium(game, sa, sb, tol)
 
     delta_checkpoint = math.inf
+    two_back = one_back = math.inf  # the steps of the two rounds before
+    probed = False
     last = None
     for iterations in range(1, cfg.max_outer + 1):
         pa = best_response(pair[1], game, "a", cfg.eps, cfg.max_bisect, warm_a)
@@ -485,19 +610,29 @@ def iterated_best_response(
         delta = float(np.abs(step).max())
         # A check that stops the loop is the solve's report.
         if delta < cfg.eps:
-            sa, sb, report = verified(cfg.verify_tol)
+            sa, sb, report = verified(pair, cfg.verify_tol)
             if report.passes(0.1 * cfg.verify_tol):
                 break
-        if iterations % 25 == 0:
-            if delta > 0.5 * delta_checkpoint:
-                sa, sb, report = verified(cfg.stall_tol)
-                if report.passed:
-                    report.stalled = True
+        slow = not probed and delta > 0.5 * two_back
+        probed = probed or slow
+        two_back, one_back = one_back, delta
+        stuck = iterations % 25 == 0 and delta > 0.5 * delta_checkpoint
+        if (slow or stuck) and None not in (warm_a.wbar, warm_b.wbar):
+            joint = _finish(game, (warm_a.wbar, warm_b.wbar), cfg.eps, 2 * iterations)
+            if joint is not None:
+                sa, sb, report = verified(joint, cfg.verify_tol)
+                if report.passes(0.1 * cfg.verify_tol):
                     break
+        if stuck:
+            sa, sb, report = verified(pair, cfg.stall_tol)
+            if report.passed:
+                report.stalled = True
+                break
+        if iterations % 25 == 0:
             delta_checkpoint = delta
         pair, last = _translate(pair, step, last, cfg.eps), step
     else:
-        sa, sb, report = verified(cfg.verify_tol)
+        sa, sb, report = verified(pair, cfg.verify_tol)
         report.converged = False
     report.iterations = iterations
     report.monotonicity_violations = warm_a.violations + warm_b.violations

@@ -153,10 +153,13 @@ class TestTailCut:
 
 
 def cutoff_oracle(law, lam: float, k: int, tol: float) -> float:
-    """`_JumpLaw.cutoff` as one vector pass over the whole grid of s."""
-    s, mgf_m1, dmgf = (np.asarray(a) for a in (law.s, law.mgf_m1, law.dmgf))
-    exponent = lam * mgf_m1 + np.log(k + lam * dmgf) - math.log(tol)
-    return float((exponent / s).min())
+    """`_JumpLaw.cutoff` as the minimum over the whole grid of s, with
+    `math.log` at each grid point as the kernel takes it."""
+    bounds = [
+        (lam * grow + math.log(k + lam * slope) - math.log(tol)) / s
+        for s, grow, slope in zip(law.s, law.mgf_m1, law.dmgf)
+    ]
+    return float(np.min(bounds))
 
 
 def thinned_oracle(law, lam: float, n: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrivalgames import solver
@@ -657,13 +657,11 @@ class TestIteratedBestResponse:
         assert rep.tol == cfg.verify_tol and rep.passed
         assert rep.passes(0.1 * cfg.verify_tol)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the alternation cycles with period 4 on this game: iterates 4 rounds "
-        "apart differ by 2.5e-14, iterates 1 or 3 rounds apart by about 0.1; ROADMAP "
-        "item 1, a Newton finish on the equilibrium conditions, is to fix it",
-    )
     def test_period_three_cycle_converges(self):
+        # the plain alternation cycles with period 4 on this game: iterates
+        # 4 rounds apart differ by 2.5e-14, iterates 1 or 3 rounds apart by
+        # about 0.1. The joint finish ends it at round 5, sharing slot 3
+        cfg = SolverConfig(max_outer=60)
         g = SlotGame(
             4.59239342549526,
             1.0732023832590347,
@@ -672,17 +670,16 @@ class TestIteratedBestResponse:
             make_geometric(3.377256143431456),
             make_geometric(2.3385075468504226),
         )
-        _, _, rep = iterated_best_response(g, SolverConfig(max_outer=60))
-        assert rep.converged
+        _, _, rep = iterated_best_response(g, cfg)
+        assert rep.converged and not rep.stalled
+        assert rep.passes(0.1 * cfg.verify_tol)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the alternation cycles with period 2 on this game: the pair moves "
-        "0.022 each round and back, and the support spread stays at 0.05 after 200 "
-        "rounds; ROADMAP item 1, a Newton finish on the equilibrium conditions, is "
-        "to fix it",
-    )
     def test_period_two_cycle_converges(self):
+        # the plain alternation cycles with period 2 on this game: the pair
+        # moves 0.022 each round and back, and the support spread stays at
+        # 0.05 after 200 rounds. The joint finish at the round-50
+        # checkpoint ends it
+        cfg = SolverConfig(max_outer=200)
         g = SlotGame(
             4.232810322360271,
             0.7395475591643792,
@@ -691,8 +688,19 @@ class TestIteratedBestResponse:
             make_deterministic(4),
             make_deterministic(2),
         )
-        _, _, rep = iterated_best_response(g, SolverConfig(max_outer=200))
-        assert rep.converged
+        _, _, rep = iterated_best_response(g, cfg)
+        assert rep.converged and not rep.stalled
+        assert rep.passes(0.1 * cfg.verify_tol)
+
+    def test_fluid_limit_game_sharing_two_slots_converges(self):
+        # the fluid limit T = 2 at N = 50: the alternation shares slots 56
+        # and 57 and does not converge in 500 rounds; the joint finish at
+        # the round-50 checkpoint shares slot 57 alone
+        cfg = SolverConfig()
+        g = SlotGame(50.0, 100.0, 1, 200, make_deterministic(2), make_deterministic(1))
+        _, _, rep = iterated_best_response(g, cfg)
+        assert rep.converged and not rep.stalled
+        assert rep.passes(0.1 * cfg.verify_tol)
 
 
 @pytest.fixture
@@ -853,13 +861,13 @@ class TestSearchCost:
     @pytest.mark.parametrize(
         "game, iterations, most",
         [
-            # the paper's 20-slot geometric game: one jump along a repeated
-            # step saves a round, and its 88 responses close in 286 fills;
-            # the pair of round 43 moves less than eps but fails the check at
-            # verify_tol / 10, which costs round 44 (282 fills in 43 rounds
-            # when a small step alone stopped the solve; 582 fills with the
-            # search this one replaced)
-            (br20(), 44, 300),
+            # the paper's 20-slot geometric game: round 8 is the first whose
+            # step is more than half the step two rounds before, and the
+            # joint finish there closes in 9 joint fills; the 16 responses
+            # close in 70 fills (286 fills in 44 rounds when the alternation
+            # ran to a verified pair alone, 582 with the search this one
+            # replaced)
+            (br20(), 8, 80),
             # the full-scale 240-slot deterministic game, whose masses form
             # a staircase in w̄: 14 responses in 72 fills (87 with a tight
             # first round, whose cold type-a search took 19; 154 before)
@@ -884,9 +892,11 @@ class TestSearchCost:
     @pytest.mark.parametrize(
         "game, most",
         [
-            # 4 835 workload steps, both verifications' included (4 730 in
-            # 43 rounds when a small step alone stopped the solve)
-            (br20(), 4851),
+            # 1 569 workload steps: 8 rounds, 9 joint fills and one
+            # verification (4 835 in 44 rounds when the alternation ran to a
+            # verified pair alone, 4 730 in 43 when a small step alone
+            # stopped the solve)
+            (br20(), 1585),
             # 5 622: 6 338 with one prefix step per slot, 7 856 also with a
             # tight first round, 8 234 when a scan of the own-zero prefix
             # preceded each fill and gave a cold search its lower end
@@ -908,6 +918,105 @@ class TestSearchCost:
         assert len(steps) <= most
 
 
+def recorded_finishes(monkeypatch) -> list:
+    """The (game, pair or None) of every call of the joint finisher."""
+    calls = []
+    finish = solver._finish
+
+    def spy(game, *args):
+        out = finish(game, *args)
+        calls.append((game, out))
+        return out
+
+    monkeypatch.setattr(solver, "_finish", spy)
+    return calls
+
+
+class TestJointFinish:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(g=small_game(), data=st.data())
+    def test_joint_fill_meets_both_wait_conditions(self, g, data):
+        # the oracle is the workload profile of the pair the loads make:
+        # every slot's wait is at least each type's w̄, and equal to it on
+        # the slots the type owns
+        wbar = [
+            data.draw(st.floats(0.0, 0.5 * lam * x.chi))
+            for lam, x in ((g.lam_a, g.x_a), (g.lam_b, g.x_b))
+        ]
+        load, gap = solver._joint_fill(g, *wbar)
+        # a fill that passed its load cap before the last slot left the
+        # slots after it empty
+        assume(load[:-1].sum() <= (1.0 + solver._EXACT_SPAN) * (g.lam_a + g.lam_b))
+        own = gap >= 0.0
+        pair = np.stack((np.where(own, load / g.lam_a, 0.0), np.where(own, 0.0, load / g.lam_b)))
+        for row, belief, w in zip(pair, "ab", wbar):
+            waits = workload_profile(g, pair[0], pair[1], belief, mass_tol=math.inf).w
+            assert waits.min() >= w - 1e-9
+            owned = row > 0.0
+            assert np.abs(waits[owned] - w).max(initial=0.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "game, iterations, wbar_a, wbar_b",
+        [
+            (det240(), 7, 93.00052313179, 3.4108550287857193),
+            (
+                SlotGame(50.0, 50.0, 1, 240, make_geometric(4), make_geometric(2)),
+                16, 93.6074916036867, 4.965593797321343,
+            ),
+            (
+                SlotGame(
+                    50.0, 50.0, 1, 240,
+                    make_geometric_mixture(4, 2.0 * math.sqrt(0.75)),
+                    make_geometric_mixture(2, 2.0 * math.sqrt(0.5)),
+                ),
+                15, 97.13079328856863, 8.966542464055541,
+            ),
+            (
+                SlotGame(100.0, 200.0, 1, 350, make_deterministic(2), make_deterministic(1)),
+                18, 95.29770561901506, 2.357567630244409,
+            ),
+            (
+                SlotGame(100.0, 200.0, 1, 400, make_deterministic(2), make_deterministic(1)),
+                24, 89.36299897595225, 1.1511586388147759,
+            ),
+        ],
+        ids=["det240", "geometric240", "mixture240", "fluid-T1.75", "fluid-T2.0"],
+    )
+    def test_contracting_solves_never_finish(self, monkeypatch, game, iterations, wbar_a, wbar_b):
+        # each round's step is at most half the step two rounds before, so
+        # these solves never call the finisher and keep the rounds and the
+        # waits, bit for bit, of the alternation alone
+        calls = recorded_finishes(monkeypatch)
+        _, _, rep = iterated_best_response(game, SolverConfig())
+        assert calls == []
+        assert (rep.iterations, rep.wbar_a, rep.wbar_b) == (iterations, wbar_a, wbar_b)
+
+    def test_finisher_that_returns_nothing_leaves_the_alternation(self, monkeypatch):
+        # the alternation carries on exactly as without a finisher: br20
+        # takes its 44 rounds and 4 835 steps
+        monkeypatch.setattr(solver, "_finish", lambda *args: None)
+        steps = []
+        advance = WorkloadStepper.advance
+
+        def counted(stepper, *args):
+            steps.append(args)
+            return advance(stepper, *args)
+
+        monkeypatch.setattr(WorkloadStepper, "advance", counted)
+        _, _, rep = iterated_best_response(br20(), SolverConfig())
+        assert rep.converged and rep.iterations == 44 and len(steps) == 4835
+
+    def test_finished_pair_is_exact(self, monkeypatch):
+        # br20 shares slot 9, whose split puts a's mass at one exactly
+        calls = recorded_finishes(monkeypatch)
+        _, _, rep = iterated_best_response(br20(), SolverConfig())
+        (_, pair), = calls
+        assert rep.iterations == 8 and np.array_equal(rep.support_a, [0, 3, 4, 5, 6, 7, 9])
+        assert 9 in rep.support_b
+        assert pair[0].sum() == pytest.approx(1.0, abs=1e-15)
+        assert rep.max_support_spread <= 1e-8 and rep.max_offsupport_violation <= 1e-8
+
+
 class TestExistenceBattery:
     def test_fifty_random_instances_converge_and_verify(self):
         # every instance converges without the stall test and verifies at
@@ -925,6 +1034,27 @@ class TestExistenceBattery:
             if not (rep.converged and not rep.stalled and rep.passes(cfg.verify_tol)):
                 failures.append((i, g, rep))
         assert not failures, failures
+
+    def test_seed_seven_draw_converges_without_stall(self, monkeypatch):
+        # game 29 of this draw cycles with period 2 in the plain
+        # alternation; the joint finish ends it at round 50 and shortens
+        # six more solves. Every pair the finisher returns is verified at a tenth
+        # of verify_tol and carries masses within eps of one
+        rng = np.random.default_rng(7)
+        cfg = SolverConfig()
+        calls = recorded_finishes(monkeypatch)
+        failures = []
+        for i in range(100):
+            g = random_game(rng)
+            _, _, rep = iterated_best_response(g, cfg)
+            if not (rep.converged and not rep.stalled and rep.passes(0.1 * cfg.verify_tol)):
+                failures.append((i, g, rep))
+        assert not failures, failures
+        finished = [(g, pair) for g, pair in calls if pair is not None]
+        assert finished
+        for g, pair in finished:
+            assert np.abs(pair.sum(axis=1) - 1.0).max() < cfg.eps
+            assert verify_equilibrium(g, pair[0], pair[1], cfg.verify_tol).passes(0.1 * cfg.verify_tol)
 
 
 class TestVerifyEquilibrium:

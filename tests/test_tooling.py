@@ -74,6 +74,34 @@ def test_no_environment_reads_in_src():
     assert not found, found
 
 
+def test_no_linalg_or_scipy_in_src():
+    # numpy is the only runtime dependency, and its linalg module is not
+    # needed either: the solver's one linear system is a 2 x 2 step solved
+    # in closed form. Importing or calling numpy.linalg raised a worker's
+    # peak memory, so no module, attribute or import names it or scipy.
+    def banned(name):
+        return name == "scipy" or name.startswith("scipy.") or "linalg" in name.split(".")
+
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(map(banned, names)):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found
+
+
 def test_beliefs_are_compared_in_signals_only():
     # `signals._side` is the one reader of a belief label, so an unknown
     # label raises everywhere instead of reading as type b.
