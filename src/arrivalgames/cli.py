@@ -199,7 +199,6 @@ def _report_pairs(prefix: str, rep) -> list[tuple[str, object]]:
         (f"{prefix}.converged", rep.converged),
         (f"{prefix}.max_support_spread", rep.max_support_spread),
         (f"{prefix}.max_offsupport_violation", rep.max_offsupport_violation),
-        (f"{prefix}.stalled", rep.stalled),
         (f"{prefix}.monotonicity_violations", rep.monotonicity_violations),
         (f"{prefix}.tol", rep.tol),
         (f"{prefix}.passed", rep.passed),

@@ -10,9 +10,9 @@ an outer alternation it starts with a fill at the type's previous w̄ and
 a Newton step with the last secant slope of mass in w̄. The solver
 alternates best responses between the two types until the pair stops
 moving in the sup norm at a pair that `verify_equilibrium` accepts with
-margin; a round that repeats the previous round's step moves the pair
-along that step to its next support change. An alternation that stops
-contracting is finished by one joint solve of both equilibrium waits.
+margin. An alternation that stops contracting is finished by one joint
+solve of both equilibrium waits, which also picks the slots the two
+types share.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .workload import (
 
 # Slots with probability at or below this count as off the support.
 _MASS_FLOOR = 1e-8
-# The reported verification tolerance, and the looser gate of the stall
-# test's backstop, as multiples of eps.
+# The reported verification tolerance, and the gate of a stall test that
+# no solve runs any more (a benchmark hook only), as multiples of eps.
 _VERIFY_SCALE = 50.0
 _STALL_SCALE = 200.0
 # Margins of the drift bound of `_ResponseEngine`: a relative loss of the
@@ -67,10 +67,9 @@ class SolverConfig:
     ``eps``, positive and finite, is the accepted deviation of total
     strategy mass from one, and the step between successive iterates
     below which a solve checks its pair at verify_tol / 10 to converge.
-    ``verify_tol`` is the reported verification tolerance (50 eps);
-    ``stall_tol`` is the looser gate (200 eps) of the stall test, a
-    backstop that accepts an alternation whose distance has stopped
-    shrinking, so converged output always verifies at stall_tol.
+    ``verify_tol`` is the reported verification tolerance (50 eps).
+    ``stall_tol`` (200 eps) is kept only for the benchmark, which reads
+    it; no solve uses it.
     ``max_bisect`` caps the steps of each best response's search on w̄:
     its fills and the one step that sets its bracket's lower end at 0;
     past it the search raises ``NumericFailure``. Both caps must be
@@ -103,8 +102,8 @@ class EquilibriumReport:
     two types; ``max_offsupport_violation`` the worst amount by which an
     unused slot beats the equilibrium wait. ``tol`` is the gate the pair
     was checked at and ``passed`` the verdict there; after a solve, the
-    gate is ``stall_tol`` when the alternation ended through the stall
-    test and ``verify_tol`` otherwise.
+    gate is ``verify_tol``. ``stalled`` is always False: it is kept only
+    for the benchmark, which reads it.
     """
 
     wbar_a: float
@@ -412,29 +411,8 @@ def verify_equilibrium(game: SlotGame, p_a, p_b, tol: float) -> EquilibriumRepor
     return report
 
 
-def _translate(
-    pair: np.ndarray, step: np.ndarray, last: np.ndarray | None, tol: float
-) -> np.ndarray:
-    """Move the strategy pair (one row per type) along a round's ``step`` to
-    the first entry that reaches zero, when the step repeats the round
-    before's, ``last``, within ``tol`` times its size; otherwise return
-    ``pair``. That entry is set to exactly 0. The step's sums are zero
-    only up to the responses' mass tolerance, so each row is rescaled to
-    unit mass."""
-    if last is None or float(np.abs(step - last).max()) > tol * float(np.abs(step).max()):
-        return pair
-    ratios = np.full(pair.shape, math.inf)
-    np.divide(pair, -step, out=ratios, where=step < 0.0)
-    first = np.unravel_index(np.argmin(ratios), pair.shape)
-    if not 0.0 < ratios[first] < math.inf:
-        return pair
-    out = np.maximum(pair + ratios[first] * step, 0.0)
-    out[first] = 0.0
-    return out / out.sum(axis=1, keepdims=True)
-
-
 def _joint_fill(
-    game: SlotGame, wbar_a: float, wbar_b: float, shared: int | None = None
+    game: SlotGame, wbar_a: float, wbar_b: float, shared: tuple[int, ...] | list[int] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fill every slot from both equilibrium waits in one forward pass.
 
@@ -442,7 +420,7 @@ def _joint_fill(
     (2/chi_b)(wbar_b - ev_b,t)), with each type's mean workload from its
     own stepper, so every slot's wait is at least w̄ for both types, and
     equal to it for the one whose term is larger, which owns the slot.
-    The slot ``shared`` takes the mean of the two terms instead, which
+    The slots in ``shared`` take the mean of the two terms instead, which
     keeps the total load smooth in both waits. Stops once the total load
     passes (1 + ``_EXACT_SPAN``) (lam_a + lam_b). Returns the loads and
     the gaps of a's term over b's: a slot is a's where its gap is at
@@ -456,7 +434,7 @@ def _joint_fill(
     for t in range(n):
         term_a, term_b = scale_a * (wbar_a - state_a.ev), scale_b * (wbar_b - state_b.ev)
         gap[t] = term_a - term_b
-        load[t] = max(0.0, 0.5 * (term_a + term_b) if t == shared else max(term_a, term_b))
+        load[t] = max(0.0, 0.5 * (term_a + term_b) if t in shared else max(term_a, term_b))
         total += load[t]
         if total > cap or t + 1 == n:
             break
@@ -472,44 +450,77 @@ def _finish(
     with both masses within eps of one, or None when that fails within
     ``budget`` joint fills.
 
-    Every joint fill meets both types' wait conditions, so only the
-    masses are left: the residuals are a's owned mass - 1 and the total
-    load / (lam_a + lam_b) - 1, and the search stops once both are below
-    min(1e-4 eps, 1e-9). The first Jacobian takes two forward differences.
-    a's mass jumps where a slot with load changes owner, so such a step
-    leaves the Jacobian as it is. A step that changes the sign of a's
-    residual through one such slot makes it shared: its gap over lam_a +
-    lam_b becomes the first residual, with the gap's forward differences
-    as that row, and its load is split so that a's mass is exactly one.
-    A step that does so through several slots is cut to pass only the
-    first, by the gaps' linear interpolation; slots whose gaps would
-    change sign together form a block that no single shared slot
-    describes, and the search gives up, as it does on a total load past
-    the fill's cap or a singular Jacobian."""
-    lam_a, lam_b = game.lam_a, game.lam_b
-    shared = None
+    Every joint fill meets both types' wait conditions (a complementarity
+    point given the waits), so only the masses and the shared slots are
+    left. The residuals are the total load / (lam_a + lam_b) - 1 and a's
+    owned mass - 1 or, once slots are shared, their mean gap over lam_a +
+    lam_b; a's leftover mass is split over them in proportion to load.
+    The search stops once both are below min(1e-4 eps, 1e-9). Before the
+    first step, the loaded slots whose gaps lie within 20 eps / max(chi_a,
+    chi_b) of the gap nearest zero are shared if there are two or more: a
+    wait on a shared slot of gap g is off its w̄ by chi |g| / 4, so by at
+    most 5 eps. The first Jacobian takes two forward differences. a's
+    mass jumps where a slot with load changes owner, so such a step leaves
+    the Jacobian as it is. A step that changes the sign of a's residual
+    through one such slot makes it shared, with the gap's forward
+    differences as the first row; through several, it is cut to pass only
+    the first, by the gaps' linear interpolation, and slots whose gaps
+    would change sign together make the search give up, as do a total
+    load past the fill's cap and a singular Jacobian. When the residuals
+    close on a's share of the set below zero or above its load / lam_a,
+    the set moves to the loaded slot on the over-served type's side whose
+    gap is nearest zero (one active-set change per step; Nocedal and
+    Wright 2006, ch. 16)."""
+    lam_a, lam = game.lam_a, game.lam_a + game.lam_b
+    shared: list[int] = []
 
     def residual(w: np.ndarray):
         load, gap = _joint_fill(game, w[0], w[1], shared)
-        if shared is None:
-            first = load[gap >= 0.0].sum() / lam_a - 1.0
-        else:
-            first = gap[shared] / (lam_a + lam_b)
-        return np.array([first, load.sum() / (lam_a + lam_b) - 1.0]), load, gap
+        first = gap[shared].mean() / lam if shared else load[gap >= 0.0].sum() / lam_a - 1.0
+        return np.array([first, load.sum() / lam - 1.0]), load, gap
 
     w = np.array(wbar)
     f, load, gap = residual(w)
     if f[1] > _EXACT_SPAN:
         return None
+    fills = 3
+    near = gap[np.argmin(np.where(load > 0.0, np.abs(gap), np.inf))]
+    band = 20.0 * eps / max(game.x_a.chi, game.x_b.chi)
+    block = np.flatnonzero((load > 0.0) & (np.abs(gap - near) <= band))
+    if block.size > 1:
+        shared = block.tolist()
+        f, load, gap = residual(w)
+        fills += 1
     jac, slope = np.empty((2, 2)), np.empty((game.n_slots, 2))
     for i in range(2):
         h = 1e-7 * (1.0 + w[i])
         f_h, _, gap_h = residual(w + h * np.eye(2)[i])
         jac[:, i], slope[:, i] = (f_h - f) / h, (gap_h - gap) / h
-    fills, dw = 3, None
-    while not np.abs(f).max() < min(eps * 1e-4, 1e-9):
+    dw = None
+    while True:
+        closed = np.abs(f).max() < min(eps * 1e-4, 1e-9)
+        if closed:
+            own = gap >= 0.0
+            own[shared] = False
+            pair = np.zeros((2, game.n_slots))
+            pair[0, own], pair[1, ~own] = load[own] / lam_a, load[~own] / game.lam_b
+            pair[0, shared] = (1.0 - pair[0].sum()) * (load[shared] / load[shared].sum())
+            pair[1, shared] = (load[shared] - lam_a * pair[0, shared]) / game.lam_b
+            if pair[:, shared].min(initial=0.0) >= 0.0:
+                break
         if fills >= budget:
             return None
+        fills += 1
+        if closed:
+            side = (gap >= 0.0) if pair[0, shared].min() < 0.0 else (gap < 0.0)
+            side[shared] = False
+            moves = np.flatnonzero(side & (load > 0.0))
+            if not moves.size:
+                return None
+            shared = [int(moves[np.argmin(np.abs(gap[moves]))])]
+            f, load, gap = residual(w)
+            jac[0] = slope[shared[0]] / lam
+            continue
         if dw is None:
             # The Newton step with the 2 x 2 Jacobian, in closed form.
             det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -518,33 +529,23 @@ def _finish(
             dw = np.array([jac[0, 1] * f[1] - jac[1, 1] * f[0],
                            jac[1, 0] * f[0] - jac[0, 0] * f[1]]) / det
         f_new, load_new, gap_new = residual(w + dw)
-        fills += 1
         if f_new[1] > _EXACT_SPAN:
             return None
         flips = np.flatnonzero(((gap_new >= 0.0) != (gap >= 0.0)) & (load > 0.0) & (load_new > 0.0))
-        if shared is None and flips.size and f[0] * f_new[0] < 0.0:
+        if not shared and flips.size and f[0] * f_new[0] < 0.0:
             if flips.size > 1:
                 theta = np.sort(gap[flips] / (gap[flips] - gap_new[flips]))
                 if not theta[1] - theta[0] > 1e-9:
                     return None
                 dw = 0.5 * (theta[0] + theta[1]) * dw
                 continue
-            shared = int(flips[0])
-            f[0], f_new[0] = (g[shared] / (lam_a + lam_b) for g in (gap, gap_new))
-            jac[0] = slope[shared] / (lam_a + lam_b)
-        if shared is not None or not flips.size:
+            shared = [int(flips[0])]
+            f[0], f_new[0] = (g[shared[0]] / lam for g in (gap, gap_new))
+            jac[0] = slope[shared[0]] / lam
+        if shared or not flips.size:
             jac += np.outer(f_new - f - jac @ dw, dw) / (dw @ dw)
         w, f, load, gap, dw = w + dw, f_new, load_new, gap_new, None
-    own = gap >= 0.0
-    pair = np.zeros((2, game.n_slots))
-    pair[0, own], pair[1, ~own] = load[own] / lam_a, load[~own] / lam_b
-    if shared is not None:
-        pair[0, shared] = 0.0
-        pair[0, shared] = 1.0 - pair[0].sum()
-        pair[1, shared] = (load[shared] - lam_a * pair[0, shared]) / lam_b
-    if not (pair.min() >= 0.0 and np.abs(pair.sum(axis=1) - 1.0).max() < eps):
-        return None
-    return pair
+    return pair if np.abs(pair.sum(axis=1) - 1.0).max() < eps else None
 
 
 def iterated_best_response(
@@ -559,14 +560,12 @@ def iterated_best_response(
     slope -lambda_opp / lambda_own. Where the supports share two or more
     slots the two types ask for different joint loads there, and each
     round shifts the split in those slots by the same step until a slot
-    empties: the plain alternation drifts without its distance ever
-    falling below ``eps``. So when a round's step repeats the round
-    before's within ``eps`` times its size, the pair moves along it to the
-    first entry that reaches zero, where the alternation itself would
-    arrive. A round that moves the pair by less than ``eps`` has the pair
-    verified, and the solve converges only on a pair that passes at
-    ``verify_tol / 10`` (a wait moves by about lambda chi / 2 times a step
-    in probability); that check is its report, at gate ``verify_tol``.
+    empties: the plain alternation drifts, or cycles, without its
+    distance falling below ``eps``. A round that moves the pair by less
+    than ``eps`` has the pair verified, and the solve converges only on a
+    pair that passes at ``verify_tol / 10`` (a wait moves by about lambda
+    chi / 2 times a step in probability); that check is its report, at
+    gate ``verify_tol``.
 
     Each type carries one fresh ``_Warm`` record through its responses of
     a solve. Its target stops the first round's responses to the
@@ -577,13 +576,11 @@ def iterated_best_response(
     The first round whose step is more than half the step two rounds
     before, and each 25-round checkpoint whose distance has not halved,
     call the joint finisher from both types' last w̄, with a budget of two
-    joint fills per round so far. Its pair replaces the alternation's
-    only if it passes at ``verify_tol / 10``, and that check is the
-    report; otherwise the alternation carries on as before.
-
-    The stall test stays as a backstop: a distance that has not halved in
-    25 rounds stops the loop once the current pair independently verifies
-    at ``stall_tol``.
+    joint fills per round so far. It shares a single slot or a block of
+    slots, and moves a shared slot whose split comes out of range. Its
+    pair replaces the alternation's only if it passes at ``verify_tol /
+    10``, and that check is the report; otherwise the alternation carries
+    on as before.
 
     Non-convergence within ``cfg.max_outer`` rounds is reported, not
     raised: the last pair is verified at ``verify_tol`` and reported with
@@ -600,14 +597,12 @@ def iterated_best_response(
     delta_checkpoint = math.inf
     two_back = one_back = math.inf  # the steps of the two rounds before
     probed = False
-    last = None
     for iterations in range(1, cfg.max_outer + 1):
         pa = best_response(pair[1], game, "a", cfg.eps, cfg.max_bisect, warm_a)
         pb = best_response(pa, game, "b", cfg.eps, cfg.max_bisect, warm_b)
         warm_a.target = warm_b.target = None
         prev, pair = pair, np.stack((pa, pb))
-        step = pair - prev
-        delta = float(np.abs(step).max())
+        delta = float(np.abs(pair - prev).max())
         # A check that stops the loop is the solve's report.
         if delta < cfg.eps:
             sa, sb, report = verified(pair, cfg.verify_tol)
@@ -623,14 +618,8 @@ def iterated_best_response(
                 sa, sb, report = verified(joint, cfg.verify_tol)
                 if report.passes(0.1 * cfg.verify_tol):
                     break
-        if stuck:
-            sa, sb, report = verified(pair, cfg.stall_tol)
-            if report.passed:
-                report.stalled = True
-                break
         if iterations % 25 == 0:
             delta_checkpoint = delta
-        pair, last = _translate(pair, step, last, cfg.eps), step
     else:
         sa, sb, report = verified(pair, cfg.verify_tol)
         report.converged = False

@@ -52,8 +52,10 @@ def test_worker_call_shapes():
     _, sb, rep = solver.iterated_best_response(game, cfg)
     p = solver.best_response(sb.probs, game, "a", cfg.eps, cfg.max_bisect)
     assert abs(p.sum() - 1.0) < cfg.eps
+    # bench/worker.py and bench/capture_reference.py still read the stall
+    # gate and flag, which no solve sets any more.
     assert cfg.stall_tol > cfg.verify_tol > 0.0
-    assert rep.stalled in (True, False)
+    assert rep.stalled is False
     assert rep.monotonicity_violations == 0
 
 

@@ -477,8 +477,8 @@ class TestGameFields:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
         summary = (out / "summary.txt").read_text().splitlines()
+        assert not any(line.startswith("br.stalled") for line in summary)
         for line in (
-            "br.stalled = False",
             "br.monotonicity_violations = 0",
             "br.tol = 0.0005",
             "br.passed = True",
