@@ -13,14 +13,15 @@ there (``passed``).
 
 Exit codes: 0 success, 2 scenario parse/validation error (also an
 unknown block, an unknown field in any block and a ``[DEFAULT]`` block,
-in the file or as an override), 3 a solve that did not converge to a
-pair that passes verification (outputs still written), 4 invalid model
-parameters, including a NaN or infinite population, a NaN or infinite
-``[solver]`` value or ``[abm]`` sigmoid parameter, a negative seed in
-any mode, a fluid ``grid_n`` below 2, a signal that is never observed
-where its posterior is needed and a model past the workload kernel's
-support budget (no outputs written), 5 numerical failure of the solver
-(no outputs written).
+in the file or as an override, and a scenario file that cannot be read
+or an ``--out`` that cannot be used as a directory; no outputs written),
+3 a solve that did not converge to a pair that passes verification
+(outputs still written), 4 invalid model parameters, including a NaN or
+infinite population, a NaN or infinite ``[solver]`` value or ``[abm]``
+sigmoid parameter, a negative seed in any mode, a fluid ``grid_n`` below
+2, a signal that is never observed where its posterior is needed and a
+model past the workload kernel's support budget (no outputs written), 5
+numerical failure of the solver (no outputs written).
 """
 
 from __future__ import annotations
@@ -420,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

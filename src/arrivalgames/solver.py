@@ -35,10 +35,8 @@ from .workload import (
 
 # Slots with probability at or below this count as off the support.
 _MASS_FLOOR = 1e-8
-# The reported verification tolerance, and the gate of a stall test that
-# no solve runs any more (a benchmark hook only), as multiples of eps.
+# The reported verification tolerance, as a multiple of eps.
 _VERIFY_SCALE = 50.0
-_STALL_SCALE = 200.0
 # Margins of the drift bound of `_ResponseEngine`: a relative loss of the
 # workload mean per slot of the horizon, and an absolute one per slot per
 # unit of (1 + tau). On the benchmark's and the full-scale games a step
@@ -49,6 +47,9 @@ _DRIFT_ABS = 1e-9
 # the mass passes one by more than this (or eps); a joint fill, unless
 # its total mass does.
 _EXACT_SPAN = 0.5
+# The fewest rounds between two calls of the joint finisher. Odd, so that
+# the retries of a period-2 cycle alternate between its two states.
+_RETRY_ROUNDS = 11
 
 
 def _check_search(eps: float, max_bisect: int) -> int:
@@ -68,8 +69,6 @@ class SolverConfig:
     strategy mass from one, and the step between successive iterates
     below which a solve checks its pair at verify_tol / 10 to converge.
     ``verify_tol`` is the reported verification tolerance (50 eps).
-    ``stall_tol`` (200 eps) is kept only for the benchmark, which reads
-    it; no solve uses it.
     ``max_bisect`` caps the steps of each best response's search on w̄:
     its fills and the one step that sets its bracket's lower end at 0;
     past it the search raises ``NumericFailure``. Both caps must be
@@ -88,10 +87,6 @@ class SolverConfig:
     @property
     def verify_tol(self) -> float:
         return _VERIFY_SCALE * self.eps
-
-    @property
-    def stall_tol(self) -> float:
-        return _STALL_SCALE * self.eps
 
 
 @dataclass
@@ -573,10 +568,10 @@ def iterated_best_response(
     0.1 eps (inexact Newton, Dembo, Eisenstat and Steihaug 1982); later
     ones close as a direct call does.
 
-    The first round whose step is more than half the step two rounds
-    before, and each 25-round checkpoint whose distance has not halved,
-    call the joint finisher from both types' last w̄, with a budget of two
-    joint fills per round so far. It shares a single slot or a block of
+    A round whose step is more than half the step two rounds before calls
+    the joint finisher from both types' last w̄, with a budget of two joint
+    fills per round so far, unless the finisher ran fewer than
+    ``_RETRY_ROUNDS`` rounds ago. It shares a single slot or a block of
     slots, and moves a shared slot whose split comes out of range. Its
     pair replaces the alternation's only if it passes at ``verify_tol /
     10``, and that check is the report; otherwise the alternation carries
@@ -594,9 +589,8 @@ def iterated_best_response(
         sa, sb = ArrivalStrategy(p[0]).normalized(), ArrivalStrategy(p[1]).normalized()
         return sa, sb, verify_equilibrium(game, sa, sb, tol)
 
-    delta_checkpoint = math.inf
     two_back = one_back = math.inf  # the steps of the two rounds before
-    probed = False
+    last_finish = -_RETRY_ROUNDS
     for iterations in range(1, cfg.max_outer + 1):
         pa = best_response(pair[1], game, "a", cfg.eps, cfg.max_bisect, warm_a)
         pb = best_response(pa, game, "b", cfg.eps, cfg.max_bisect, warm_b)
@@ -608,18 +602,15 @@ def iterated_best_response(
             sa, sb, report = verified(pair, cfg.verify_tol)
             if report.passes(0.1 * cfg.verify_tol):
                 break
-        slow = not probed and delta > 0.5 * two_back
-        probed = probed or slow
+        slow = delta > 0.5 * two_back and iterations - last_finish >= _RETRY_ROUNDS
         two_back, one_back = one_back, delta
-        stuck = iterations % 25 == 0 and delta > 0.5 * delta_checkpoint
-        if (slow or stuck) and None not in (warm_a.wbar, warm_b.wbar):
+        if slow and None not in (warm_a.wbar, warm_b.wbar):
+            last_finish = iterations
             joint = _finish(game, (warm_a.wbar, warm_b.wbar), cfg.eps, 2 * iterations)
             if joint is not None:
                 sa, sb, report = verified(joint, cfg.verify_tol)
                 if report.passes(0.1 * cfg.verify_tol):
                     break
-        if iterations % 25 == 0:
-            delta_checkpoint = delta
     else:
         sa, sb, report = verified(pair, cfg.verify_tol)
         report.converged = False

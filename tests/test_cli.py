@@ -544,7 +544,7 @@ class TestNumericFailure:
 
 
 class TestAtomicWrite:
-    def test_failed_rename_leaves_no_outputs(self, tmp_path, monkeypatch):
+    def test_failed_rename_leaves_no_outputs(self, tmp_path, monkeypatch, capsys):
         renamed = []
 
         def replace(src, dst):
@@ -556,10 +556,38 @@ class TestAtomicWrite:
         monkeypatch.setattr(cli.os, "replace", replace)
         path = write(tmp_path, BR_SCENARIO)
         out = tmp_path / "out"
-        with pytest.raises(OSError, match="disk full"):
-            main(["run", str(path), "--out", str(out)])
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_PARSE
         assert len(renamed) == 1
         assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == "file error: disk full\n"
+
+    @pytest.mark.parametrize("below", [False, True], ids=["existing-file", "below-a-file"])
+    def test_unusable_out_exits_2_without_outputs(self, tmp_path, capsys, below):
+        # an --out that names an existing file, or a path below one,
+        # cannot be made a directory
+        path = write(tmp_path, SIGNAL_SCENARIO)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and err.count("\n") == 1
+        assert "taken" in err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini", "taken"]
+
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, SIGNAL_SCENARIO)
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSupportBudget:

@@ -135,6 +135,15 @@ def idle_opponent(draw):
     return g, weights / weights.sum()
 
 
+def period_two_game() -> SlotGame:
+    """Game 29 of 100 games drawn with `random_game` at seed 7: the plain
+    alternation cycles with period 2 between two pairs 0.022 apart."""
+    return SlotGame(
+        4.232810322360271, 0.7395475591643792, 3, 7,
+        make_deterministic(4), make_deterministic(2),
+    )
+
+
 def br20() -> SlotGame:
     """The paper's 20-slot geometric game."""
     return SlotGame(5.0, 5.0, 3, 20, make_geometric(4), make_geometric(2))
@@ -689,30 +698,47 @@ class TestIteratedBestResponse:
     def test_period_two_cycle_converges(self):
         # the plain alternation cycles with period 2 on this game: the pair
         # moves 0.022 each round and back, and the support spread stays at
-        # 0.05 after 200 rounds. The joint finish at the round-50
-        # checkpoint ends it
+        # 0.05 after 200 rounds. The finisher's call at round 6 fails, and
+        # its retry 11 rounds later, from the cycle's other state, ends it
         cfg = SolverConfig(max_outer=200)
-        g = SlotGame(
-            4.232810322360271,
-            0.7395475591643792,
-            3,
-            7,
-            make_deterministic(4),
-            make_deterministic(2),
-        )
-        _, _, rep = iterated_best_response(g, cfg)
-        assert rep.converged
+        _, _, rep = iterated_best_response(period_two_game(), cfg)
+        assert rep.converged and rep.iterations == 17
         assert rep.passes(0.1 * cfg.verify_tol)
 
-    def test_fluid_limit_game_sharing_two_slots_converges(self):
+    def test_finisher_retries_every_eleven_rounds(self, monkeypatch):
+        # a finisher that returns nothing leaves the period-2 cycle slow at
+        # every other round: it is called at the first slow round and then
+        # whenever a slow round comes _RETRY_ROUNDS or more rounds after
+        # the last call, each time with a budget of two fills per round
+        budgets = []
+
+        def failed(game, wbar, eps, budget):
+            budgets.append(budget)
+
+        monkeypatch.setattr(solver, "_finish", failed)
+        _, _, rep = iterated_best_response(period_two_game(), SolverConfig(max_outer=60))
+        assert not rep.converged and rep.iterations == 60
+        assert budgets == [2 * r for r in range(6, 61, 11)]
+
+    def test_fluid_limit_game_sharing_two_slots_converges(self, monkeypatch):
         # the fluid limit T = 2 at N = 50: the alternation shares slots 56
-        # and 57 and does not converge in 500 rounds; the joint finish at
-        # the round-50 checkpoint shares slot 57 alone
+        # and 57 and does not converge in 500 rounds; the finisher's call
+        # at round 8 fails, and its retry at round 19 shares slot 57 alone
+        steps = []
+        advance = WorkloadStepper.advance
+
+        def counted(stepper, *args):
+            steps.append(args)
+            return advance(stepper, *args)
+
+        monkeypatch.setattr(WorkloadStepper, "advance", counted)
         cfg = SolverConfig()
         g = SlotGame(50.0, 100.0, 1, 200, make_deterministic(2), make_deterministic(1))
         _, _, rep = iterated_best_response(g, cfg)
-        assert rep.converged
+        assert rep.converged and rep.iterations == 19
         assert rep.passes(0.1 * cfg.verify_tol)
+        # 19 893 workload steps; 34 077 when the retry waited for round 50
+        assert len(steps) <= 1.1 * 19893
 
 
 class TestPrunedFillCost:
@@ -996,9 +1022,9 @@ class TestExistenceBattery:
 
     def test_seed_seven_draw_converges_without_stall(self, monkeypatch):
         # game 29 of this draw cycles with period 2 in the plain
-        # alternation; the joint finish ends it at round 50 and shortens
-        # seven more solves. Every pair the finisher returns is verified at
-        # a tenth of verify_tol and carries masses within eps of one
+        # alternation; the joint finish ends it at round 17 and ends eleven
+        # more solves. Every pair the finisher returns is verified at a
+        # tenth of verify_tol and carries masses within eps of one
         rng = np.random.default_rng(7)
         cfg = SolverConfig()
         calls = recorded_finishes(monkeypatch)
@@ -1017,12 +1043,15 @@ class TestExistenceBattery:
 
 
     def test_wide_draw_converges(self, monkeypatch):
-        # 120 wide games at seed 7, 93 525 workload steps when a jump along
-        # a repeated step and a stall test helped the finisher, and game 111
-        # (lambda 8.18 / 0.26, 25 slots, mixture service) did not converge
-        # in 500 rounds: its finisher shared slot 23, whose split went
-        # negative. The shared slot moves to 24, a's side, and the solve
-        # ends at round 75 with a on slots 0 and 24 and b on 23 and 24
+        # 120 wide games at seed 7: 54 159 workload steps, 70 869 when the
+        # finisher was retried only at 25-round checkpoints and 93 525 when
+        # a jump along a repeated step and a stall test helped it. Game 111
+        # (lambda 8.18 / 0.26, 25 slots, mixture service) once did not
+        # converge in 500 rounds: its finisher shared slot 23, whose split
+        # went negative. The shared slot moves to 24, a's side. A call
+        # succeeds only from an odd round of 9 or more, so the calls at
+        # rounds 3 and 14 fail and the one at round 25 ends the solve, with
+        # a on slots 0 and 24 and b on 23 and 24
         rng = np.random.default_rng(7)
         cfg = SolverConfig()
         calls = recorded_finishes(monkeypatch)
@@ -1042,8 +1071,9 @@ class TestExistenceBattery:
             if not (rep.converged and rep.passes(0.1 * cfg.verify_tol)):
                 failures.append((i, g, rep))
         assert not failures, failures
-        assert steps[0] <= 1.1 * 93525
+        assert steps[0] <= 1.1 * 54159
         rep = reports[111]
+        assert rep.iterations == 25
         assert np.array_equal(rep.support_a, [0, 24]) and np.array_equal(rep.support_b, [23, 24])
         for g, pair in calls:
             if pair is not None:
