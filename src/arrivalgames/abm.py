@@ -25,7 +25,7 @@ import numpy as np
 from .dists import ServiceDist
 from .fluid import FluidEquilibrium, FluidParams
 from .signals import SignalParams, _side
-from .workload import ArrivalStrategy, _check_counts
+from .workload import ArrivalStrategy, _check_counts, _count
 
 
 def _check_sigmoid(c1: float, c2: float) -> None:
@@ -80,9 +80,7 @@ class AbmConfig:
         if not self.signal.lam <= self.pool:
             raise ValueError("mean daily arrivals cannot exceed the pool size")
         _check_sigmoid(self.c1, self.c2)
-        if not (self.seed >= 0 and float(self.seed).is_integer()):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
     @property
     def join_prob(self) -> float:
@@ -112,12 +110,15 @@ def simulate_day(
 
     ``slots`` holds each arrival's slot. Within a slot the cohort is
     admitted in random order; each wait is the unfinished work ahead at
-    admission. The workload drains tau units per slot.
+    admission. The workload drains tau units per slot. A slot that is not
+    a nonnegative integer, or a ``tau`` that is not a positive integer
+    (integral floats pass), raises ``ValueError``.
     """
+    tau = _count(tau, "slot length")
     waits = np.zeros(len(slots))
     by_slot: dict[int, list[int]] = {}
     for idx, slot in enumerate(slots):
-        by_slot.setdefault(int(slot), []).append(idx)
+        by_slot.setdefault(_count(slot, "slot", 0), []).append(idx)
     support = np.arange(len(service.pmf))
     probs = service.pmf.mass / service.pmf.total
     backlog = 0.0
@@ -245,8 +246,10 @@ def coupled_dominance(
     of ``params``, built from shared uniforms when
     ``coupled`` (so the slow system's jobs are a fixed multiple of the
     fast system's). Checks V_a >= V_b and Q_a >= Q_b just after every
-    arrival and departure epoch on every path.
+    arrival and departure epoch on every path. An ``n_paths`` that is not
+    a positive integer (integral floats pass) raises ``ValueError``.
     """
+    n_paths = _count(n_paths, "path count")
     lam_a, lam_b, mu_a, mu_b, horizon = astuple(params)
     violating = 0
     max_gap = 0.0

@@ -11,7 +11,7 @@ the opening atoms (simultaneous arrivals are randomly ordered).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -98,61 +98,69 @@ def thresholds(params: FluidParams) -> tuple[float, float, float, float]:
     )
 
 
-def _case_v_solution(params: FluidParams):
-    """Candidate partially-degenerate solution; None when any of the
-    construction's side conditions fails."""
-    la, lb, ma, mb, T = (
-        params.lam_a,
-        params.lam_b,
-        params.mu_a,
-        params.mu_b,
-        params.horizon,
-    )
+def _cases(params: FluidParams) -> dict[str, FluidEquilibrium]:
+    """The profile of every case that applies, keyed by tag: the case of
+    the horizon's band, and case v where its side conditions hold. A
+    segment whose start is not below its end is left out and an opening
+    atom is capped at one, so a horizon next to a threshold gets its band's
+    limit. A profile that cannot be built in floats (a density past the
+    float range, or a type's mass off one by more than 1e-9) raises
+    ``ValueError``."""
+    la, lb, ma, mb, T = astuple(params)
+    x1, x2, x3, x4 = thresholds(params)
+
+    def profile(atom_a, atom_b, spans_a, spans_b, q0, non_unique=False):
+        segs = [tuple(Segment(*s) for s in side if s[0] < s[1]) for side in (spans_a, spans_b)]
+        for atom, own in zip((atom_a, atom_b), segs):
+            if not abs(atom + sum(seg.mass for seg in own) - 1.0) <= 1e-9:
+                raise ValueError("the fluid profile loses mass to rounding at these parameters")
+        return FluidEquilibrium(T, atom_a, atom_b, *segs, q0, non_unique)
+
+    second = mb >= 2.0 * ma and (la + lb) / mb < T <= la / (2.0 * ma) + lb / ma
+    if T <= x1:
+        cases = {"i": profile(1.0, 1.0, (), (), (la + lb) / 2.0)}
+    elif T < x2:
+        atom_b = min(1.0, (2.0 * mb / lb) * (x2 - T))
+        t_b = (la + lb * atom_b) / (2.0 * mb)
+        cases = {"ii": profile(1.0, atom_b, (), [(t_b, T, mb / lb)], (la + lb * atom_b) / 2.0)}
+    elif T <= x3:
+        cases = {"iii": profile(1.0, 0.0, (), [(T - lb / mb, T, mb / lb)], la / 2.0, second)}
+    elif T <= x4:
+        atom_a = min(1.0, (2.0 * ma / la) * (x4 - T))
+        t_a, t_b = la * atom_a / (2.0 * ma), T - lb / mb
+        spans = [(t_a, t_b, ma / la)], [(t_b, T, mb / lb)]
+        cases = {"iv": profile(atom_a, 0.0, *spans, la * atom_a / 2.0, second)}
+    else:
+        # vi: fully degenerate, queue never forms under either belief
+        t_split = la / ma
+        spans = [(0.0, t_split, ma / la)], [(t_split, t_split + lb / mb, mb / lb)]
+        cases = {"vi": profile(0.0, 0.0, *spans, 0.0, True)}
+    # v: partially degenerate. a gains by moving into b's interval unless
+    # the joint arrival rate there stays below mu_a (needs mu_b >= 2 mu_a).
     atom_a = 2.0 * (la + lb - ma * T) / la
-    if not 0.0 < atom_a < 1.0:
-        return None
     denom = (la + lb - ma * T) * (mb - 2.0 * ma) + lb * mb
-    if denom <= 0.0:
-        return None
-    k = ma * mb / denom
-    # The construction needs the joint arrival rate during b's interval to
-    # stay below a's believed drain rate, else a-customers gain by moving
-    # into that interval. This holds only when mu_b >= 2 mu_a.
-    if lb * k > ma * (1.0 + 1e-12):
-        return None
-    t_a = (la * atom_a + 2.0 * lb) / (2.0 * ma)
-    t_b = la * atom_a / mb
-    if not t_b < t_a <= T + 1e-12:
-        return None
-    return atom_a, k, t_a, t_b
+    if 0.0 < atom_a < 1.0 and denom > 0.0:
+        k = ma * mb / denom
+        t_a, t_b = (la * atom_a + 2.0 * lb) / (2.0 * ma), la * atom_a / mb
+        if lb * k <= ma * (1.0 + 1e-12) and t_b < t_a <= T + 1e-12:
+            spans = [(t_a, T, ma / la)], [(t_b, t_a, k)]
+            cases["v"] = profile(atom_a, 0.0, *spans, la * atom_a / 2.0, True)
+    return cases
 
 
 def classify(params: FluidParams) -> set[str]:
-    """All equilibrium case tags applicable at these parameters.
-
-    Cases i-iv partition the horizon axis; v and vi may overlap with iv
-    and with each other, so the result can hold several tags.
-    """
-    x1, x2, x3, x4 = thresholds(params)
-    T = params.horizon
-    tags: set[str] = set()
-    if T <= x1:
-        tags.add("i")
-    elif T < x2:
-        tags.add("ii")
-    elif T <= x3:
-        tags.add("iii")
-    elif T <= x4:
-        tags.add("iv")
-    if T > x4:
-        tags.add("vi")
-    if _case_v_solution(params) is not None:
-        tags.add("v")
-    return tags
+    """All equilibrium case tags applicable at these parameters: exactly
+    the tags ``solve_case`` builds. Cases i-iv partition the horizon axis;
+    v and vi may overlap with iv and with each other. Every applicable
+    profile is built, so one that cannot be built in floats (e.g. a density
+    past the float range) raises ``ValueError``."""
+    return set(_cases(params))
 
 
 def solve_case(params: FluidParams, tag: str) -> FluidEquilibrium:
-    """Equilibrium arrival profile for one applicable case tag.
+    """Equilibrium arrival profile for a tag of ``classify(params)``, which
+    holds exactly the tags built here; any other tag raises
+    ``InvalidCaseError``.
 
     For the degenerate cases v and vi (a continuum of equilibria exists)
     the canonical uniform-density representative is returned with
@@ -163,48 +171,10 @@ def solve_case(params: FluidParams, tag: str) -> FluidEquilibrium:
     """
     if tag not in CASE_TAGS:
         raise InvalidCaseError(f"unknown case tag {tag!r}")
-    if tag not in classify(params):
+    cases = _cases(params)
+    if tag not in cases:
         raise InvalidCaseError(f"case {tag!r} does not apply at these parameters")
-    la, lb, ma, mb, T = (
-        params.lam_a,
-        params.lam_b,
-        params.mu_a,
-        params.mu_b,
-        params.horizon,
-    )
-    x1, x2, x3, x4 = thresholds(params)
-    second = mb >= 2.0 * ma and (la + lb) / mb < T <= la / (2.0 * ma) + lb / ma
-    if tag == "i":
-        return FluidEquilibrium(T, 1.0, 1.0, (), (), (la + lb) / 2.0)
-    if tag == "ii":
-        atom_b = (2.0 * mb / lb) * (x2 - T)
-        t_b = (la + lb * atom_b) / (2.0 * mb)
-        seg_b = Segment(t_b, T, mb / lb)
-        return FluidEquilibrium(T, 1.0, atom_b, (), (seg_b,), (la + lb * atom_b) / 2.0)
-    if tag == "iii":
-        t_b = T - lb / mb
-        seg_b = Segment(t_b, T, mb / lb)
-        return FluidEquilibrium(T, 1.0, 0.0, (), (seg_b,), la / 2.0, second)
-    if tag == "iv":
-        atom_a = (2.0 * ma / la) * (x4 - T)
-        t_a = la * atom_a / (2.0 * ma)
-        t_b = T - lb / mb
-        segs_a = (Segment(t_a, t_b, ma / la),) if t_a < t_b else ()
-        seg_b = Segment(t_b, T, mb / lb)
-        return FluidEquilibrium(T, atom_a, 0.0, segs_a, (seg_b,), la * atom_a / 2.0, second)
-    if tag == "v":
-        sol = _case_v_solution(params)
-        atom_a, k, t_a, t_b = sol
-        segs_a = (Segment(t_a, T, ma / la),) if t_a < T else ()
-        return FluidEquilibrium(
-            T, atom_a, 0.0, segs_a, (Segment(t_b, t_a, k),), la * atom_a / 2.0,
-            non_unique=True,
-        )
-    # vi: fully degenerate, queue never forms under either belief
-    t_split = la / ma
-    seg_a = Segment(0.0, t_split, ma / la)
-    seg_b = Segment(t_split, t_split + lb / mb, mb / lb)
-    return FluidEquilibrium(T, 0.0, 0.0, (seg_a,), (seg_b,), 0.0, non_unique=True)
+    return cases[tag]
 
 
 def _verification_grid(eq: FluidEquilibrium, grid_n: int) -> np.ndarray:

@@ -38,11 +38,12 @@ class InvalidStrategyError(ValueError):
     """Arrival strategy is not a probability vector within tolerance."""
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int, if it is a positive integer (integral floats
-    pass), else ``ValueError``, also for NaN and infinity."""
-    if not (value >= 1 and float(value).is_integer()):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int if it is an integer of at least ``least``, 1 or 0
+    (integral floats pass), else ``ValueError``, also for NaN and infinity."""
+    if not (value >= least and float(value).is_integer()):
+        kind = "a positive" if least else "a nonnegative"
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     return int(value)
 
 
@@ -102,8 +103,11 @@ class ArrivalStrategy:
 
     @classmethod
     def point_mass(cls, n_slots: int, slot: int = 0) -> "ArrivalStrategy":
+        """All mass on ``slot``, an integer in [0, n_slots), else ``ValueError``."""
+        if not (0 <= slot < n_slots and float(slot).is_integer()):
+            raise ValueError(f"slot must be an integer in [0, {n_slots!r}), got {slot!r}")
         arr = np.zeros(n_slots)
-        arr[slot] = 1.0
+        arr[int(slot)] = 1.0
         return cls(arr)
 
     @classmethod

@@ -124,6 +124,24 @@ class TestSimulateDay:
         waits = simulate_day([0, 1], make_deterministic(5), 3, rng)
         assert waits[0] == 0.0 and waits[1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("slots", [[-1, 0, 0], [0.5, 1], [0, math.nan]])
+    def test_slots_must_be_nonnegative_integers(self, slots):
+        # a slot of -1 would wait 0 and leave its job out of the backlog,
+        # and int() would read a slot of 0.5 as slot 0
+        with pytest.raises(ValueError, match="slot must be a nonnegative integer"):
+            simulate_day(slots, make_deterministic(2), 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("tau", [-3, 0, 1.5, math.inf])
+    def test_tau_must_be_a_positive_integer(self, tau):
+        # a tau of -3 would grow the backlog by 3 every slot
+        with pytest.raises(ValueError, match="slot length must be a positive integer"):
+            simulate_day([0, 1], make_deterministic(2), tau, np.random.default_rng(0))
+
+    def test_integral_float_slots_and_tau_run(self):
+        one = simulate_day([0, 1], make_deterministic(5), 3, np.random.default_rng(6))
+        two = simulate_day([0.0, 1.0], make_deterministic(5), 3.0, np.random.default_rng(6))
+        assert np.array_equal(one, two)
+
     def test_pooled_means_match_recursion(self):
         # pooled per-slot waits across many replications are the
         # size-biased tagged-customer waits the analytic recursion yields
@@ -303,6 +321,12 @@ class TestCoupledDominance:
             coupled_dominance(
                 FluidParams(5.0, 5.0, mu_a, mu_b, 60.0), None, None, 10, np.random.default_rng(0)
             )
+
+    @pytest.mark.parametrize("n_paths", [-5, 0, 2.5, math.nan])
+    def test_path_count_must_be_a_positive_integer(self, n_paths):
+        # -5 paths would report dominance with -5 paths checked
+        with pytest.raises(ValueError, match="path count must be a positive integer"):
+            coupled_dominance(DOMINANCE, None, None, n_paths, np.random.default_rng(0))
 
     def test_decoupled_negative_control(self):
         rng = np.random.default_rng(14)

@@ -22,7 +22,15 @@ from arrivalgames.dists import (
     make_geometric,
     make_geometric_mixture,
 )
-from arrivalgames.fluid import FluidParams, classify, solve_case, thresholds, verify_fluid
+from arrivalgames.fluid import (
+    FluidEquilibrium,
+    FluidParams,
+    Segment,
+    classify,
+    solve_case,
+    thresholds,
+    verify_fluid,
+)
 from arrivalgames.signals import SignalParams, conditional_split, posterior_views
 from arrivalgames.solver import SolverConfig, iterated_best_response, solve_fr
 from arrivalgames.workload import SlotGame, workload_profile
@@ -271,3 +279,75 @@ days = 150
     for csv in ("cdf_br.csv", "cdf_fr.csv", "cdf_abm.csv"):
         assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
     assert (outs[0] / "summary.txt").read_bytes() == (outs[1] / "summary.txt").read_bytes()
+
+
+def discrete_fluid_profile(horizon: float, n: int) -> FluidEquilibrium:
+    """The discrete equilibrium at scale n as a fluid profile of the
+    reference parameters lambda = mu = (1, 2) on [0, horizon].
+
+    Type a has n arrivals and type b 2n, over round(2 n horizon) unit
+    slots, with believed services of 2 and 1 slots: a slot is 1/(2n) of
+    fluid time, and the beliefs drain 1 and 2 units of mass per unit of
+    time. Slot 0 gives the opening atoms; slot s >= 1 with mass p[s]
+    gives the segment [s, s + 1) / (2n) at density 2n p[s].
+    """
+    slots = round(2 * n * horizon)
+    game = SlotGame(n, 2 * n, 1, slots, make_deterministic(2), make_deterministic(1))
+    pa, pb, rep = iterated_best_response(game, SolverConfig())
+    assert rep.converged, (horizon, n)
+
+    def segments(p):
+        return tuple(
+            Segment(s / (2 * n), (s + 1) / (2 * n), 2 * n * p[s])
+            for s in range(1, slots)
+            if p[s] > 0
+        )
+
+    atom_a, atom_b = pa.probs[0], pb.probs[0]
+    return FluidEquilibrium(
+        horizon, atom_a, atom_b, segments(pa.probs), segments(pb.probs), (atom_a + 2 * atom_b) / 2
+    )
+
+
+@pytest.mark.criterion("11 (fluid limit of the discrete equilibrium)")
+def test_criterion_11_fluid_limit():
+    # The bound on violation x N. A slot is a window of 1/(2N) fluid time,
+    # and the discrete game equalises waits at slot starts only. Across a
+    # window the faced queue moves by the window's arrivals less its drain,
+    # and one slot's drain at the faster belief's rate mu_b = 2 is 1/N:
+    # that is the scale of the discretisation, C = 1. What the fluid limit
+    # drops besides (Poisson noise in the discrete waits, and 2NT rounded
+    # to whole slots) is of smaller order: it reads at most 0.03 / N at
+    # N = 25, 50 and 100, and the bound leaves a tenth of a slot for it.
+    slot_bound = 1.1
+    # At T = x3 type a's gain condition binds: its faced queue falls to q0
+    # where b's segment starts. So the Poisson noise of the opening cohort
+    # no longer averages out; type a's count has standard deviation
+    # sqrt(N), 1 / sqrt(N) in fluid mass, and the bound on violation x
+    # sqrt(N) is that one standard deviation.
+    noise_bound = 1.0
+    for horizon in (0.5, 1.0, 1.25, 1.5, 1.75, 2.0):
+        params = FluidParams(1.0, 2.0, 1.0, 2.0, horizon)
+        (tag,) = classify(params)
+        ref = solve_case(params, tag)
+        grid = np.linspace(0.0, horizon, 20_001)
+        dist = {}
+        for n in (25, 100):
+            eq = discrete_fluid_profile(horizon, n)
+            violation = verify_fluid(params, eq, 20_001)
+            if horizon == thresholds(params)[2]:
+                assert violation * math.sqrt(n) <= noise_bound, (horizon, n, violation)
+            else:
+                assert violation * n <= slot_bound, (horizon, n, violation)
+            dist[n] = max(float(np.abs(eq.cdf(s, grid) - ref.cdf(s, grid)).max()) for s in "ab")
+        # Cases i-iii have one equilibrium, and the discrete one nears it.
+        # Here case iv has more than one (solve_case sets non_unique;
+        # Juneja and Shimkin 2013 study the same limit for one type), and
+        # the discrete limit selects one that is neither closed form: type
+        # a's opening atom is about 0.95 at T = 1.75 and about 0.89 at
+        # T = 2, against 0.5 and 0 for solve_case's profile and 1 for the
+        # second one. So only the violation is checked there.
+        if tag == "iv":
+            assert ref.non_unique
+        else:
+            assert dist[100] < dist[25] or dist[25] == dist[100] == 0.0, (horizon, dist)

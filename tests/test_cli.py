@@ -322,6 +322,21 @@ class TestFluidMode:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_horizon_one_ulp_above_x1_solves_case_ii(self, tmp_path):
+        # x1 = 3.7272727272727266 here. One ulp above it, case ii's b
+        # segment is two ulps long, and its closed form rounds b's atom to
+        # 1.0000000000000002: the atom is capped at one, and the profile
+        # verifies to rounding (the faced queue at T is 9e-16 below q0)
+        path = write(tmp_path, FLUID_SCENARIO)
+        out = tmp_path / "out"
+        fields = dict(lambda_a=4.5, lambda_b=3.7, mu_a=0.5, mu_b=1.1, horizon=3.727272727272727)
+        flags = [arg for item in fields.items() for arg in ("--override", "fluid.%s=%s" % item)]
+        assert main(["run", str(path), "--out", str(out), *flags]) == EXIT_OK
+        summary = read_summary(out)
+        assert (summary["cases.classified"], summary["cases.solved"]) == ("ii", "ii")
+        assert float(summary["atom_b"]) == 1.0
+        assert float(summary["verify.max_violation"]) <= 1e-15
+
     def test_cdf_columns_monotone_and_complete(self, tmp_path):
         path = write(tmp_path, FLUID_SCENARIO)
         out = tmp_path / "out"

@@ -66,6 +66,39 @@ class TestClassify:
         tags = classify(fig2_params(8.0, horizon=2.75))
         assert tags == {"v", "vi"}
 
+    def test_threshold_neighbours_classify_and_solve(self):
+        # every threshold x and both of its float neighbours: one ulp above
+        # x1, case ii's t_b can round to T, leaving b's segment no length
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            la, lb = rng.uniform(0.1, 10, 2)
+            ma = rng.uniform(0.1, 4)
+            mb = ma * rng.uniform(1.01, 6)
+            for x in thresholds(FluidParams(la, lb, ma, mb, 1.0)):
+                for T in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                    p = FluidParams(la, lb, ma, mb, T)
+                    for tag in classify(p):
+                        eq = solve_case(p, tag)
+                        for side in "ab":
+                            mass = eq.atom(side) + sum(s.mass for s in eq.segments(side))
+                            assert abs(mass - 1.0) <= 1e-12, (p, tag, side, mass)
+                            assert 0.0 <= eq.atom(side) <= 1.0, (p, tag, side)
+
+    @pytest.mark.parametrize(
+        "params, tag",
+        [
+            (FluidParams(1.0, 1e-310, 1.0, 2.0, 1.0), "iv"),
+            (FluidParams(1.0, 1e-17, 0.5, 1.0, 0.9), "iii"),
+        ],
+    )
+    def test_mass_lost_to_rounding_raises(self, params, tag):
+        # type b's segment [T - lam_b / mu_b, T] rounds to zero length, so
+        # leaving it out would leave b without mass: classify and
+        # solve_case raise
+        for call in (classify, lambda p: solve_case(p, tag)):
+            with pytest.raises(ValueError, match="loses mass to rounding"):
+                call(params)
+
     def test_never_empty(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

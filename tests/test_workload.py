@@ -83,6 +83,15 @@ class TestArrivalStrategy:
         again = ArrivalStrategy(s)
         assert np.array_equal(again.probs, s.probs) and again.probs[1] == 0.0
 
+    @pytest.mark.parametrize("slot", [-1, 4, 0.5, math.nan])
+    def test_point_mass_slot_must_be_in_range(self, slot):
+        # numpy indexing would put a slot of -1 on the last slot
+        with pytest.raises(ValueError, match=r"slot must be an integer in \[0, 4\)"):
+            ArrivalStrategy.point_mass(4, slot)
+
+    def test_point_mass_takes_an_integral_float_slot(self):
+        assert np.array_equal(ArrivalStrategy.point_mass(3, 2.0).probs, [0.0, 0.0, 1.0])
+
 
 class TestStepPmf:
     def test_empty_system_stays_empty(self):
