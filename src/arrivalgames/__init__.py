@@ -16,10 +16,8 @@ from .abm import (
     coupled_dominance,
     run_abm,
     simulate_day,
-    theta,
 )
 from .dists import (
-    DEFAULT_TAIL_TOL,
     NumericFailure,
     Pmf,
     ServiceDist,
@@ -44,7 +42,6 @@ from .fluid import (
 from .signals import (
     PosteriorView,
     SignalParams,
-    conditional_split,
     posterior_views,
     signal_marginals,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "AbmConfig",
     "AbmResult",
     "ArrivalStrategy",
-    "DEFAULT_TAIL_TOL",
     "DominanceReport",
     "EquilibriumReport",
     "FluidEquilibrium",
@@ -91,7 +87,6 @@ __all__ = [
     "choose_slot",
     "classify",
     "compound_poisson",
-    "conditional_split",
     "convolve",
     "coupled_dominance",
     "iterated_best_response",

@@ -18,10 +18,11 @@ or an ``--out`` that cannot be used as a directory; no outputs written),
 3 a solve that did not converge to a pair that passes verification
 (outputs still written), 4 invalid model parameters, including a NaN or
 infinite population, a NaN or infinite ``[solver]`` value or ``[abm]``
-sigmoid parameter, a negative seed in any mode, a fluid ``grid_n`` below
-2, a signal that is never observed where its posterior is needed and a
-model past the workload kernel's support budget (no outputs written), 5
-numerical failure of the solver (no outputs written).
+sigmoid parameter, a negative seed in any mode, a count past the float
+range, a fluid ``grid_n`` below 2, a signal that is never observed where
+its posterior is needed and a model past the workload kernel's support
+budget (no outputs written), 5 numerical failure of the solver (no
+outputs written).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .solver import (
     iterated_best_response,
     solve_fr,
 )
-from .workload import SlotGame
+from .workload import SlotGame, _count
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -135,9 +136,7 @@ def load_scenario(path: str | Path, overrides: list[str] = (), seed: int | None 
     if mode not in MODES:
         raise ScenarioError(f"[scenario] mode must be one of {MODES}, got {mode!r}")
     scn = Scenario(mode, 0, parser)
-    scn.seed = scn.get("scenario", "seed", int, 0) if seed is None else seed
-    if scn.seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {scn.seed!r}")
+    scn.seed = _count(scn.get("scenario", "seed", int, 0) if seed is None else seed, "seed", 0)
     return scn
 
 

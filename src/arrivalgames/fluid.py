@@ -43,7 +43,7 @@ class FluidParams:
 
 @dataclass(frozen=True)
 class Segment:
-    """Uniform-density arrival interval (start, end, constant density)."""
+    """Arrival interval (start, end) of constant positive density."""
 
     start: float
     end: float
@@ -52,8 +52,8 @@ class Segment:
     def __post_init__(self):
         if not self.start < self.end:
             raise ValueError("segment must have positive length")
-        if not 0.0 <= self.density < math.inf:
-            raise ValueError("segment density must be nonnegative and finite")
+        if not 0.0 < self.density < math.inf:
+            raise ValueError("segment density must be positive and finite")
 
     @property
     def mass(self) -> float:

@@ -71,39 +71,28 @@ def signal_marginals(p: float, q: float) -> tuple[float, float]:
     return p * q + (1.0 - p) * (1.0 - q), p * (1.0 - q) + (1.0 - p) * q
 
 
-def conditional_split(p: float, q: float, lam: float) -> tuple[
-    tuple[float, float], tuple[float, float]
-]:
-    """Mean population sizes seen by a customer, conditional on own signal.
+def posterior_views(params: SignalParams) -> tuple[PosteriorView, PosteriorView]:
+    """Posterior mode weights, population splits and service mixtures for
+    the two signals, from the joint law of (server mode, signal).
 
-    Returns (nu_a, nu_b) where nu_i = lam * (P(other reads a | own signal i),
-    P(other reads b | own signal i)). A signal that is never observed
-    (q = 1 with p = 0 or 1) has no conditional law: ``ValueError``.
+    ``joint[m][s]`` is the probability of mode m (0 slow, 1 fast) together
+    with own signal s; ``reads[m][r]`` is the probability that another
+    customer's signal reads r in mode m. A signal that is never observed
+    (q = 1 with p = 0 or 1) has no posterior: ``ValueError``.
     """
-    pa, pb = signal_marginals(p, q)
-    for name, marginal in zip("ab", (pa, pb)):
+    p, q = params.p, params.q
+    joint = ((p * q, p * (1.0 - q)), ((1.0 - p) * (1.0 - q), (1.0 - p) * q))
+    reads = ((q, 1.0 - q), (1.0 - q, q))
+    views = []
+    for s, name in enumerate("ab"):
+        marginal = joint[0][s] + joint[1][s]
         if marginal == 0.0:
             raise ValueError(f"signal {name} is never observed at p = {p!r}, q = {q!r}")
-    aa = (p * q * q + (1.0 - p) * (1.0 - q) * (1.0 - q)) / pa
-    ba = (p * q * (1.0 - q) + (1.0 - p) * (1.0 - q) * q) / pa
-    ab = (p * (1.0 - q) * q + (1.0 - p) * q * (1.0 - q)) / pb
-    bb = (p * (1.0 - q) * (1.0 - q) + (1.0 - p) * q * q) / pb
-    return (lam * aa, lam * ba), (lam * ab, lam * bb)
-
-
-def posterior_views(params: SignalParams) -> tuple[PosteriorView, PosteriorView]:
-    """Posterior mode weights, service mixtures and population splits for
-    the two signals."""
-    p, q = params.p, params.q
-    pa, pb = signal_marginals(p, q)
-    nu_a, nu_b = conditional_split(p, q, params.lam)
-    eta_a = (p * q / pa, (1.0 - p) * (1.0 - q) / pa)
-    eta_b = (p * (1.0 - q) / pb, (1.0 - p) * q / pb)
-    z_a = mix_services(params.x_a, params.x_b, eta_a[0])
-    z_b = mix_services(params.x_a, params.x_b, eta_b[0])
-    zeta_a = eta_a[0] * params.x_a.chi + eta_a[1] * params.x_b.chi
-    zeta_b = eta_b[0] * params.x_a.chi + eta_b[1] * params.x_b.chi
-    return (
-        PosteriorView(nu_a, eta_a, z_a, zeta_a),
-        PosteriorView(nu_b, eta_b, z_b, zeta_b),
-    )
+        eta = (joint[0][s] / marginal, joint[1][s] / marginal)
+        nu = tuple(
+            params.lam * ((joint[0][s] * reads[0][r] + joint[1][s] * reads[1][r]) / marginal)
+            for r in (0, 1)
+        )
+        z = mix_services(params.x_a, params.x_b, eta[0])
+        views.append(PosteriorView(nu, eta, z, z.chi))
+    return views[0], views[1]

@@ -40,8 +40,13 @@ class InvalidStrategyError(ValueError):
 
 def _count(value, name: str, least: int = 1) -> int:
     """``value`` as an int if it is an integer of at least ``least``, 1 or 0
-    (integral floats pass), else ``ValueError``, also for NaN and infinity."""
-    if not (value >= least and float(value).is_integer()):
+    (integral floats pass), else ``ValueError``, also for NaN, infinity and
+    an integer past the float range."""
+    try:
+        whole = value >= least and float(value).is_integer()
+    except OverflowError:
+        raise ValueError(f"{name} lies past the float range") from None
+    if not whole:
         kind = "a positive" if least else "a nonnegative"
         raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     return int(value)

@@ -31,7 +31,7 @@ from arrivalgames.fluid import (
     thresholds,
     verify_fluid,
 )
-from arrivalgames.signals import SignalParams, conditional_split, posterior_views
+from arrivalgames.signals import SignalParams, posterior_views
 from arrivalgames.solver import SolverConfig, iterated_best_response, solve_fr
 from arrivalgames.workload import SlotGame, workload_profile
 from test_dists import brute_force_compound
@@ -94,11 +94,11 @@ def abm_comparison():
 
 @pytest.mark.criterion("1 (signal posteriors, exact)")
 def test_criterion_1_signal_posteriors():
-    nu_a, nu_b = conditional_split(0.5, 0.9, 10.0)
-    assert abs(nu_a[0] - 8.2) <= 1e-12 and abs(nu_a[1] - 1.8) <= 1e-12
-    assert abs(nu_b[0] - 1.8) <= 1e-12 and abs(nu_b[1] - 8.2) <= 1e-12
     sig = SignalParams(10.0, 0.5, 0.9, make_deterministic(4), make_deterministic(2))
     view_a, view_b = posterior_views(sig)
+    nu_a, nu_b = view_a.nu, view_b.nu
+    assert abs(nu_a[0] - 8.2) <= 1e-12 and abs(nu_a[1] - 1.8) <= 1e-12
+    assert abs(nu_b[0] - 1.8) <= 1e-12 and abs(nu_b[1] - 8.2) <= 1e-12
     assert abs(view_a.zeta - 3.8) <= 1e-12
     assert abs(view_b.zeta - 2.2) <= 1e-12
 

@@ -198,6 +198,39 @@ class TestScenarioParsing:
         assert "seed must be a nonnegative integer, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, field, name",
+        [
+            (BR_SCENARIO, "game.tau", "slot length"),
+            (BR_SCENARIO, "game.slots", "slot count"),
+            (BR_SCENARIO, "solver.max_outer", "max_outer"),
+            (ABM_SCENARIO, "abm.pool", "agent pool"),
+            (ABM_SCENARIO, "abm.days", "day count"),
+            (FLUID_SCENARIO, "fluid.grid_n", "grid_n"),
+            (BR_SCENARIO, "scenario.seed", "seed"),
+        ],
+        ids=["tau", "slots", "max_outer", "pool", "days", "grid_n", "seed"],
+    )
+    def test_count_past_float_range_exits_4_without_outputs(
+        self, tmp_path, capsys, monkeypatch, text, field, name
+    ):
+        # a 400-digit count is rejected where its record is built, before a
+        # solve, a simulation or a verification grid starts
+        def work(*args):
+            pytest.fail(f"work started before {field} was checked")
+
+        monkeypatch.setattr(cli, "iterated_best_response", work)
+        monkeypatch.setattr(cli.abm_mod, "run_abm", work)
+        monkeypatch.setattr(cli.fluid_mod, "_verification_grid", work)
+        path = write(tmp_path, text)
+        out = tmp_path / "o"
+        flags = ["--override", f"{field}={'9' * 400}"]
+        assert main(["run", str(path), "--out", str(out)] + flags) == EXIT_INVALID_PARAMS
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid parameters: {name} lies past the float range"
+        ]
+        assert not out.exists()
+
     def test_override_applies(self, tmp_path):
         path = write(tmp_path, FLUID_SCENARIO)
         scn = load_scenario(path, ["fluid.mu_b=4"])

@@ -221,9 +221,10 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="positive length"):
             Segment(start, end, 1.0)
 
-    @pytest.mark.parametrize("density", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("density", [-1.0, 0.0, math.nan, math.inf])
     def test_segment_density_nonnegative_and_finite(self, density):
-        with pytest.raises(ValueError, match="segment density must be nonnegative and finite"):
+        # an interval without arrivals is not support
+        with pytest.raises(ValueError, match="segment density must be positive and finite"):
             Segment(0.0, 1.0, density)
 
 

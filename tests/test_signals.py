@@ -4,16 +4,30 @@ import numpy as np
 import pytest
 
 from arrivalgames.dists import make_deterministic, make_geometric
-from arrivalgames.signals import (
-    SignalParams,
-    conditional_split,
-    posterior_views,
-    signal_marginals,
-)
+from arrivalgames.signals import SignalParams, posterior_views, signal_marginals
 
 
 def params(lam=10.0, p=0.5, q=0.9, chi=(4, 2)):
     return SignalParams(lam, p, q, make_deterministic(chi[0]), make_deterministic(chi[1]))
+
+
+def split(p, q, lam):
+    """The population splits (nu_a, nu_b) seen by the two signals."""
+    va, vb = posterior_views(params(lam=lam, p=p, q=q))
+    return va.nu, vb.nu
+
+
+def hand_expanded(p, q, lam):
+    """The posterior written out conditional by conditional: the oracle
+    for the joint-table construction in ``posterior_views``."""
+    pa, pb = signal_marginals(p, q)
+    aa = (p * q * q + (1.0 - p) * (1.0 - q) * (1.0 - q)) / pa
+    ba = (p * q * (1.0 - q) + (1.0 - p) * (1.0 - q) * q) / pa
+    ab = (p * (1.0 - q) * q + (1.0 - p) * q * (1.0 - q)) / pb
+    bb = (p * (1.0 - q) * (1.0 - q) + (1.0 - p) * q * q) / pb
+    eta_a = (p * q / pa, (1.0 - p) * (1.0 - q) / pa)
+    eta_b = (p * (1.0 - q) / pb, (1.0 - p) * q / pb)
+    return ((lam * aa, lam * ba), eta_a), ((lam * ab, lam * bb), eta_b)
 
 
 class TestMarginals:
@@ -40,25 +54,23 @@ class TestMarginals:
 
 class TestConditionalSplit:
     def test_reference_values(self):
-        nu_a, nu_b = conditional_split(0.5, 0.9, 10.0)
+        nu_a, nu_b = split(0.5, 0.9, 10.0)
         assert nu_a[0] == pytest.approx(8.2, abs=1e-12)
         assert nu_a[1] == pytest.approx(1.8, abs=1e-12)
         assert nu_b[0] == pytest.approx(1.8, abs=1e-12)
         assert nu_b[1] == pytest.approx(8.2, abs=1e-12)
 
     def test_perfect_signal(self):
-        nu_a, _ = conditional_split(0.7, 1.0, 5.0)
+        nu_a, _ = split(0.7, 1.0, 5.0)
         assert nu_a == (pytest.approx(5.0), pytest.approx(0.0))
 
     def test_degenerate_prior(self):
-        nu_a, _ = conditional_split(0.0, 0.9, 1.0)
+        nu_a, _ = split(0.0, 0.9, 1.0)
         assert nu_a[0] == pytest.approx(0.1) and nu_a[1] == pytest.approx(0.9)
 
     @pytest.mark.parametrize("p, never", [(1.0, "b"), (0.0, "a")])
     def test_unobserved_signal_rejected(self, p, never):
         # a perfect signal of a certain mode: one signal has probability 0
-        with pytest.raises(ValueError, match=f"signal {never} is never observed"):
-            conditional_split(p, 1.0, 10.0)
         with pytest.raises(ValueError, match=f"signal {never} is never observed"):
             posterior_views(params(p=p, q=1.0))
 
@@ -69,9 +81,24 @@ class TestConditionalSplit:
             q = rng.uniform(0.5001, 1.0)
             lam = rng.uniform(0.1, 30.0)
             ma, mb = signal_marginals(p, q)
-            nu_a, nu_b = conditional_split(p, q, lam)
+            nu_a, nu_b = split(p, q, lam)
             assert ma * nu_a[0] + mb * nu_b[0] == pytest.approx(lam * ma, abs=1e-12)
             assert ma * nu_a[1] + mb * nu_b[1] == pytest.approx(lam * mb, abs=1e-12)
+
+    def test_joint_table_matches_hand_expanded_conditionals(self):
+        # 5 000 seeded draws plus the edges p in {0, 1} and q = 1 where the
+        # other signal is still observed: nu and eta agree bit for bit, and
+        # zeta is the posterior law's own mean, within 1e-15 of the
+        # weighted sum of the mode means
+        rng = np.random.default_rng(29)
+        draws = [tuple(row) for row in rng.uniform((0.0, 0.5, 0.1), (1.0, 1.0, 30.0), (5000, 3))]
+        draws += [(0.0, 0.9, 5.0), (1.0, 0.9, 5.0), (0.3, 1.0, 5.0), (0.7, 1.0, 2.5)]
+        for p, q, lam in draws:
+            views = posterior_views(params(lam=lam, p=p, q=q))
+            for view, (nu, eta) in zip(views, hand_expanded(p, q, lam), strict=True):
+                assert view.nu == nu and view.eta == eta, (p, q, lam)
+                assert view.zeta == view.z.chi
+                assert abs(view.zeta - (eta[0] * 4.0 + eta[1] * 2.0)) <= 1e-15
 
 
 class TestPosteriorViews:
