@@ -32,10 +32,8 @@ from .dists import (
 from .fluid import (
     FluidEquilibrium,
     FluidParams,
-    InvalidCaseError,
     Segment,
-    classify,
-    solve_case,
+    solve_cases,
     thresholds,
     verify_fluid,
 )
@@ -43,7 +41,6 @@ from .signals import (
     PosteriorView,
     SignalParams,
     posterior_views,
-    signal_marginals,
 )
 from .solver import (
     EquilibriumReport,
@@ -70,7 +67,6 @@ __all__ = [
     "EquilibriumReport",
     "FluidEquilibrium",
     "FluidParams",
-    "InvalidCaseError",
     "InvalidStrategyError",
     "NumericFailure",
     "Pmf",
@@ -85,7 +81,6 @@ __all__ = [
     "WorkloadStepper",
     "best_response",
     "choose_slot",
-    "classify",
     "compound_poisson",
     "convolve",
     "coupled_dominance",
@@ -96,9 +91,8 @@ __all__ = [
     "mix_services",
     "posterior_views",
     "run_abm",
-    "signal_marginals",
     "simulate_day",
-    "solve_case",
+    "solve_cases",
     "solve_fr",
     "thresholds",
     "verify_equilibrium",

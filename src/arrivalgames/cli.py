@@ -19,10 +19,11 @@ or an ``--out`` that cannot be used as a directory; no outputs written),
 (outputs still written), 4 invalid model parameters, including a NaN or
 infinite population, a NaN or infinite ``[solver]`` value or ``[abm]``
 sigmoid parameter, a negative seed in any mode, a count past the float
-range, a fluid ``grid_n`` below 2, a signal that is never observed where
-its posterior is needed and a model past the workload kernel's support
-budget (no outputs written), 5 numerical failure of the solver (no
-outputs written).
+range, a fluid ``grid_n`` below 2, a fluid ``case`` that is unknown or
+does not apply, a signal that is never observed where its posterior is
+needed and a model past the workload kernel's support budget (no
+outputs written), 5 numerical failure of the solver (no outputs
+written).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import abm as abm_mod
 from . import fluid as fluid_mod
 from .dists import ServiceDist, make_deterministic, make_geometric, make_geometric_mixture
-from .signals import SignalParams, posterior_views, signal_marginals
+from .signals import SignalParams, posterior_views
 from .solver import (
     NumericFailure,
     SolverConfig,
@@ -213,10 +214,15 @@ def _run_fluid(scn: Scenario, outputs: dict) -> _Outcome:
         mu_b=scn.get("fluid", "mu_b", float),
         horizon=scn.get("fluid", "horizon", float),
     )
-    tags = sorted(fluid_mod.classify(params), key=fluid_mod.CASE_TAGS.index)
+    cases = fluid_mod.solve_cases(params)
+    tags = sorted(cases, key=fluid_mod.CASE_TAGS.index)
     wanted = scn.get("fluid", "case", str, "auto")
     tag = tags[0] if wanted == "auto" else wanted
-    eq = fluid_mod.solve_case(params, tag)
+    if tag not in fluid_mod.CASE_TAGS:
+        raise ValueError(f"unknown case tag {tag!r}")
+    if tag not in cases:
+        raise ValueError(f"case {tag!r} does not apply at these parameters")
+    eq = cases[tag]
     grid_n = scn.get("fluid", "grid_n", int, 1001)
     violation = fluid_mod.verify_fluid(params, eq, grid_n)
     grid = fluid_mod._verification_grid(eq, grid_n)
@@ -304,13 +310,14 @@ def _run_abm(scn: Scenario, outputs: dict) -> _Outcome:
 
 def _run_compare(scn: Scenario, outputs: dict) -> _Outcome:
     """Bounded-rational, fully-rational and learning outcomes side by side.
-    The ``[abm]`` block is checked before the first solve."""
+    The ``[abm]`` block and the signal posterior are checked before the
+    first solve."""
     sig = _signal_params(scn)
     tau, n_slots = _slots(scn)
     cfg = _solver_config(scn)
     abm_cfg = _abm_config(scn, sig, tau, n_slots)
-    marg = signal_marginals(sig.p, sig.q)
-    game_br = SlotGame(sig.lam * marg[0], sig.lam * marg[1], tau, n_slots, sig.x_a, sig.x_b)
+    lam_a, lam_b = (sig.lam * view.marginal for view in posterior_views(sig))
+    game_br = SlotGame(lam_a, lam_b, tau, n_slots, sig.x_a, sig.x_b)
     pa_br, pb_br, rep_br = iterated_best_response(game_br, cfg)
     pa_fr, pb_fr, (rep_fr_a, rep_fr_b) = solve_fr(sig, tau, n_slots, cfg)
     res = abm_mod.run_abm(abm_cfg)
@@ -335,12 +342,11 @@ def _run_compare(scn: Scenario, outputs: dict) -> _Outcome:
 
 def _run_signal(scn: Scenario, outputs: dict) -> _Outcome:
     sig = _signal_params(scn)
-    marg = signal_marginals(sig.p, sig.q)
     view_a, view_b = posterior_views(sig)
     return [
         ("mode", "signal"),
-        ("marginal_a", marg[0]),
-        ("marginal_b", marg[1]),
+        ("marginal_a", view_a.marginal),
+        ("marginal_b", view_b.marginal),
         ("nu_a", view_a.nu),
         ("nu_b", view_b.nu),
         ("eta_a", view_a.eta),

@@ -21,10 +21,6 @@ from .workload import _count
 CASE_TAGS = ("i", "ii", "iii", "iv", "v", "vi")
 
 
-class InvalidCaseError(ValueError):
-    """Requested equilibrium case does not apply at these parameters."""
-
-
 @dataclass(frozen=True)
 class FluidParams:
     lam_a: float
@@ -98,14 +94,22 @@ def thresholds(params: FluidParams) -> tuple[float, float, float, float]:
     )
 
 
-def _cases(params: FluidParams) -> dict[str, FluidEquilibrium]:
+def solve_cases(params: FluidParams) -> dict[str, FluidEquilibrium]:
     """The profile of every case that applies, keyed by tag: the case of
-    the horizon's band, and case v where its side conditions hold. A
-    segment whose start is not below its end is left out and an opening
-    atom is capped at one, so a horizon next to a threshold gets its band's
-    limit. A profile that cannot be built in floats (a density past the
-    float range, or a type's mass off one by more than 1e-9) raises
-    ``ValueError``."""
+    the horizon's band (i-iv, or vi past the last threshold), and case v
+    where its side conditions hold. A segment whose start is not below its
+    end is left out and an opening atom is capped at one, so a horizon
+    next to a threshold gets its band's limit. A profile that cannot be
+    built in floats (a density past the float range, or a type's mass off
+    one by more than 1e-9) raises ``ValueError``.
+
+    For the degenerate cases v and vi (a continuum of equilibria exists)
+    the canonical uniform-density representative is built with
+    ``non_unique`` set, as are cases iii and iv where a second profile,
+    type a all at the opening and type b uniform on [lam_a / mu_b, T],
+    verifies: mu_b >= 2 mu_a and (lam_a + lam_b) / mu_b < T <= lam_a /
+    (2 mu_a) + lam_b / mu_a.
+    """
     la, lb, ma, mb, T = astuple(params)
     x1, x2, x3, x4 = thresholds(params)
 
@@ -146,35 +150,6 @@ def _cases(params: FluidParams) -> dict[str, FluidEquilibrium]:
             spans = [(t_a, T, ma / la)], [(t_b, t_a, k)]
             cases["v"] = profile(atom_a, 0.0, *spans, la * atom_a / 2.0, True)
     return cases
-
-
-def classify(params: FluidParams) -> set[str]:
-    """All equilibrium case tags applicable at these parameters: exactly
-    the tags ``solve_case`` builds. Cases i-iv partition the horizon axis;
-    v and vi may overlap with iv and with each other. Every applicable
-    profile is built, so one that cannot be built in floats (e.g. a density
-    past the float range) raises ``ValueError``."""
-    return set(_cases(params))
-
-
-def solve_case(params: FluidParams, tag: str) -> FluidEquilibrium:
-    """Equilibrium arrival profile for a tag of ``classify(params)``, which
-    holds exactly the tags built here; any other tag raises
-    ``InvalidCaseError``.
-
-    For the degenerate cases v and vi (a continuum of equilibria exists)
-    the canonical uniform-density representative is returned with
-    ``non_unique`` set, as are cases iii and iv where a second profile,
-    type a all at the opening and type b uniform on [lam_a / mu_b, T],
-    verifies: mu_b >= 2 mu_a and (lam_a + lam_b) / mu_b < T <= lam_a /
-    (2 mu_a) + lam_b / mu_a.
-    """
-    if tag not in CASE_TAGS:
-        raise InvalidCaseError(f"unknown case tag {tag!r}")
-    cases = _cases(params)
-    if tag not in cases:
-        raise InvalidCaseError(f"case {tag!r} does not apply at these parameters")
-    return cases[tag]
 
 
 def _verification_grid(eq: FluidEquilibrium, grid_n: int) -> np.ndarray:

@@ -23,13 +23,6 @@ def _side(belief: str) -> int:
     return int(belief == "b")
 
 
-def _check_pq(p: float, q: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("mode probability p must lie in [0, 1]")
-    if not 0.5 < q <= 1.0:
-        raise ValueError("signal correctness q must lie in (1/2, 1]")
-
-
 @dataclass(frozen=True)
 class SignalParams:
     """Environment: total population mean, mode prior, signal quality, and
@@ -44,7 +37,10 @@ class SignalParams:
     def __post_init__(self):
         if not 0.0 <= self.lam < math.inf:
             raise ValueError("population mean must be finite and nonnegative")
-        _check_pq(self.p, self.q)
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError("mode probability p must lie in [0, 1]")
+        if not 0.5 < self.q <= 1.0:
+            raise ValueError("signal correctness q must lie in (1/2, 1]")
         if not self.x_a.chi > self.x_b.chi:
             raise ValueError("slow-mode mean service time must exceed fast-mode")
 
@@ -54,26 +50,23 @@ class PosteriorView:
     """What a customer with a given signal believes about the system; the
     view of signal a comes first in the pair ``posterior_views`` returns.
 
+    ``marginal``: the probability that a customer's signal reads this one;
     ``nu``: mean counts of (signal-a, signal-b) customers among the others;
     ``eta``: posterior mode weights (slow, fast); ``z``: posterior service
     mixture; ``zeta``: its mean.
     """
 
+    marginal: float
     nu: tuple[float, float]
     eta: tuple[float, float]
     z: ServiceDist
     zeta: float
 
 
-def signal_marginals(p: float, q: float) -> tuple[float, float]:
-    """Probability that a customer's signal reads a, respectively b."""
-    _check_pq(p, q)
-    return p * q + (1.0 - p) * (1.0 - q), p * (1.0 - q) + (1.0 - p) * q
-
-
 def posterior_views(params: SignalParams) -> tuple[PosteriorView, PosteriorView]:
-    """Posterior mode weights, population splits and service mixtures for
-    the two signals, from the joint law of (server mode, signal).
+    """Marginals, posterior mode weights, population splits and service
+    mixtures for the two signals, from the joint law of (server mode,
+    signal).
 
     ``joint[m][s]`` is the probability of mode m (0 slow, 1 fast) together
     with own signal s; ``reads[m][r]`` is the probability that another
@@ -94,5 +87,5 @@ def posterior_views(params: SignalParams) -> tuple[PosteriorView, PosteriorView]
             for r in (0, 1)
         )
         z = mix_services(params.x_a, params.x_b, eta[0])
-        views.append(PosteriorView(nu, eta, z, z.chi))
+        views.append(PosteriorView(marginal, nu, eta, z, z.chi))
     return views[0], views[1]

@@ -451,10 +451,10 @@ def _finish(
     owned mass - 1 or, once slots are shared, their mean gap over lam_a +
     lam_b; a's leftover mass is split over them in proportion to load.
     The search stops once both are below min(1e-4 eps, 1e-9). Before the
-    first step, the loaded slots whose gaps lie within 20 eps / max(chi_a,
+    first step, the loaded slots whose gaps lie within 10 eps / max(chi_a,
     chi_b) of the gap nearest zero are shared if there are two or more: a
     wait on a shared slot of gap g is off its w̄ by chi |g| / 4, so by at
-    most 5 eps. The first Jacobian takes two forward differences. a's
+    most 2.5 eps. The first Jacobian takes two forward differences. a's
     mass jumps where a slot with load changes owner, so such a step leaves
     the Jacobian as it is. A step that changes the sign of a's residual
     through one such slot makes it shared, with the gap's forward
@@ -465,9 +465,11 @@ def _finish(
     close on a's share of the set below zero or above its load / lam_a,
     the set moves to the loaded slot on the over-served type's side whose
     gap is nearest zero (one active-set change per step; Nocedal and
-    Wright 2006, ch. 16)."""
+    Wright 2006, ch. 16). A move back to a slot the set has moved to
+    before gives up, as it would cycle, and so does a set without load."""
     lam_a, lam = game.lam_a, game.lam_a + game.lam_b
     shared: list[int] = []
+    moved: set[int] = set()
 
     def residual(w: np.ndarray):
         load, gap = _joint_fill(game, w[0], w[1], shared)
@@ -480,7 +482,7 @@ def _finish(
         return None
     fills = 3
     near = gap[np.argmin(np.where(load > 0.0, np.abs(gap), np.inf))]
-    band = 20.0 * eps / max(game.x_a.chi, game.x_b.chi)
+    band = 10.0 * eps / max(game.x_a.chi, game.x_b.chi)
     block = np.flatnonzero((load > 0.0) & (np.abs(gap - near) <= band))
     if block.size > 1:
         shared = block.tolist()
@@ -495,6 +497,8 @@ def _finish(
     while True:
         closed = np.abs(f).max() < min(eps * 1e-4, 1e-9)
         if closed:
+            if shared and not load[shared].sum():
+                return None
             own = gap >= 0.0
             own[shared] = False
             pair = np.zeros((2, game.n_slots))
@@ -513,6 +517,9 @@ def _finish(
             if not moves.size:
                 return None
             shared = [int(moves[np.argmin(np.abs(gap[moves]))])]
+            if shared[0] in moved:
+                return None
+            moved.add(shared[0])
             f, load, gap = residual(w)
             jac[0] = slope[shared[0]] / lam
             continue

@@ -390,10 +390,10 @@ class TestCoupledDominance:
         assert _path_dominates(times, fast, slow) == (False, 2.0)
 
     def test_fluid_profile_stream(self):
-        from arrivalgames.fluid import solve_case
+        from arrivalgames.fluid import solve_cases
 
         params = FluidParams(1.0, 2.0, 1.0, 2.0, 1.0)
-        eq = solve_case(params, "ii")
+        eq = solve_cases(params)["ii"]
         rng = np.random.default_rng(16)
         rep = coupled_dominance(params, (eq, "a"), (eq, "b"), 100, rng)
         assert rep.dominance_holds

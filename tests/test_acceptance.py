@@ -26,8 +26,7 @@ from arrivalgames.fluid import (
     FluidEquilibrium,
     FluidParams,
     Segment,
-    classify,
-    solve_case,
+    solve_cases,
     thresholds,
     verify_fluid,
 )
@@ -114,11 +113,10 @@ def test_criterion_2_fluid_thresholds():
 def test_criterion_3_fluid_solutions():
     for mu_b in (1.5, 2.0, 4.0, 8.0):
         params = FluidParams(1.0, 2.0, 1.0, mu_b, 1.0)
-        for tag in classify(params):
-            eq = solve_case(params, tag)
+        for tag, eq in solve_cases(params).items():
             violation = verify_fluid(params, eq, 10_000)
             assert violation <= 1e-9, (mu_b, tag, violation)
-    eq = solve_case(FluidParams(1.0, 2.0, 1.0, 2.0, 1.0), "ii")
+    eq = solve_cases(FluidParams(1.0, 2.0, 1.0, 2.0, 1.0))["ii"]
     assert eq.atom_b == 0.5
     assert eq.segments_b[0].start == 0.5
 
@@ -328,8 +326,7 @@ def test_criterion_11_fluid_limit():
     noise_bound = 1.0
     for horizon in (0.5, 1.0, 1.25, 1.5, 1.75, 2.0):
         params = FluidParams(1.0, 2.0, 1.0, 2.0, horizon)
-        (tag,) = classify(params)
-        ref = solve_case(params, tag)
+        ((tag, ref),) = solve_cases(params).items()
         grid = np.linspace(0.0, horizon, 20_001)
         dist = {}
         for n in (25, 100):
@@ -341,11 +338,11 @@ def test_criterion_11_fluid_limit():
                 assert violation * n <= slot_bound, (horizon, n, violation)
             dist[n] = max(float(np.abs(eq.cdf(s, grid) - ref.cdf(s, grid)).max()) for s in "ab")
         # Cases i-iii have one equilibrium, and the discrete one nears it.
-        # Here case iv has more than one (solve_case sets non_unique;
+        # Here case iv has more than one (solve_cases sets non_unique;
         # Juneja and Shimkin 2013 study the same limit for one type), and
         # the discrete limit selects one that is neither closed form: type
         # a's opening atom is about 0.95 at T = 1.75 and about 0.89 at
-        # T = 2, against 0.5 and 0 for solve_case's profile and 1 for the
+        # T = 2, against 0.5 and 0 for solve_cases' profile and 1 for the
         # second one. So only the violation is checked there.
         if tag == "iv":
             assert ref.non_unique

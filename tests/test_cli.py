@@ -15,7 +15,7 @@ from arrivalgames.cli import (
     main,
 )
 from arrivalgames.dists import make_deterministic, make_geometric_mixture
-from arrivalgames.signals import SignalParams, posterior_views, signal_marginals
+from arrivalgames.signals import SignalParams, posterior_views
 from arrivalgames.solver import SolverConfig, iterated_best_response
 from arrivalgames.workload import SlotGame
 
@@ -441,7 +441,8 @@ class TestSignalMode:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
         assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
-        marg = signal_marginals(0.5, 0.9)
+        p, q = 0.5, 0.9
+        marg = p * q + (1.0 - p) * (1.0 - q), p * (1.0 - q) + (1.0 - p) * q
         views = posterior_views(
             SignalParams(10.0, 0.5, 0.9, make_deterministic(4.0), make_deterministic(2.0))
         )
@@ -458,7 +459,7 @@ class TestUnobservedSignal:
     # With q = 1 and p = 0 or 1 every customer reads the same signal, so
     # the other signal has no posterior.
     @pytest.mark.parametrize("p, never", [("1", "b"), ("0", "a")])
-    @pytest.mark.parametrize("mode", ["signal", "discrete_fr"])
+    @pytest.mark.parametrize("mode", ["signal", "discrete_fr", "compare"])
     def test_posterior_modes_exit_4_without_outputs(self, tmp_path, capsys, mode, p, never):
         path = write(tmp_path, ABM_SCENARIO.replace("mode = abm", f"mode = {mode}"))
         out = tmp_path / "o"

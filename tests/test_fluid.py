@@ -7,10 +7,8 @@ import pytest
 from arrivalgames.fluid import (
     FluidEquilibrium,
     FluidParams,
-    InvalidCaseError,
     Segment,
-    classify,
-    solve_case,
+    solve_cases,
     thresholds,
     verify_fluid,
 )
@@ -49,21 +47,21 @@ class TestThresholds:
 
 class TestClassify:
     def test_fig2_cases(self):
-        assert classify(fig2_params(1.5)) == {"i"}
-        assert classify(fig2_params(2.0)) == {"ii"}
-        assert classify(fig2_params(4.0)) == {"iii"}
-        assert classify(fig2_params(8.0)) == {"iv"}
+        assert set(solve_cases(fig2_params(1.5))) == {"i"}
+        assert set(solve_cases(fig2_params(2.0))) == {"ii"}
+        assert set(solve_cases(fig2_params(4.0))) == {"iii"}
+        assert set(solve_cases(fig2_params(8.0))) == {"iv"}
 
     def test_boundaries_follow_interval_closure(self):
         p = fig2_params(2.0)
         x1, x2, x3, x4 = thresholds(p)
-        assert classify(dataclasses.replace(p, horizon=x1)) == {"i"}
-        assert classify(dataclasses.replace(p, horizon=x2)) == {"iii"}
-        assert classify(dataclasses.replace(p, horizon=x3)) == {"iii"}
-        assert "iv" in classify(dataclasses.replace(p, horizon=x4))
+        assert set(solve_cases(dataclasses.replace(p, horizon=x1))) == {"i"}
+        assert set(solve_cases(dataclasses.replace(p, horizon=x2))) == {"iii"}
+        assert set(solve_cases(dataclasses.replace(p, horizon=x3))) == {"iii"}
+        assert "iv" in solve_cases(dataclasses.replace(p, horizon=x4))
 
     def test_overlapping_degenerate_cases(self):
-        tags = classify(fig2_params(8.0, horizon=2.75))
+        tags = set(solve_cases(fig2_params(8.0, horizon=2.75)))
         assert tags == {"v", "vi"}
 
     def test_threshold_neighbours_classify_and_solve(self):
@@ -77,8 +75,7 @@ class TestClassify:
             for x in thresholds(FluidParams(la, lb, ma, mb, 1.0)):
                 for T in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
                     p = FluidParams(la, lb, ma, mb, T)
-                    for tag in classify(p):
-                        eq = solve_case(p, tag)
+                    for tag, eq in solve_cases(p).items():
                         for side in "ab":
                             mass = eq.atom(side) + sum(s.mass for s in eq.segments(side))
                             assert abs(mass - 1.0) <= 1e-12, (p, tag, side, mass)
@@ -93,11 +90,10 @@ class TestClassify:
     )
     def test_mass_lost_to_rounding_raises(self, params, tag):
         # type b's segment [T - lam_b / mu_b, T] rounds to zero length, so
-        # leaving it out would leave b without mass: classify and
-        # solve_case raise
-        for call in (classify, lambda p: solve_case(p, tag)):
-            with pytest.raises(ValueError, match="loses mass to rounding"):
-                call(params)
+        # leaving it out would leave b without mass: building the case
+        # table raises, so case iv or iii is never returned
+        with pytest.raises(ValueError, match="loses mass to rounding"):
+            solve_cases(params)[tag]
 
     def test_never_empty(self):
         rng = np.random.default_rng(5)
@@ -106,12 +102,12 @@ class TestClassify:
             ma = rng.uniform(0.1, 4)
             mb = ma * rng.uniform(1.01, 6)
             T = rng.uniform(0.05, 4 * (la / ma + lb / mb))
-            assert classify(FluidParams(la, lb, ma, mb, T))
+            assert solve_cases(FluidParams(la, lb, ma, mb, T))
 
 
 class TestSolveCase:
     def test_case_ii_reference(self):
-        eq = solve_case(fig2_params(2.0), "ii")
+        eq = solve_cases(fig2_params(2.0))["ii"]
         assert eq.atom_a == 1.0
         assert eq.atom_b == pytest.approx(0.5, abs=1e-12)
         seg = eq.segments_b[0]
@@ -120,12 +116,12 @@ class TestSolveCase:
         assert seg.density == pytest.approx(1.0, abs=1e-12)
 
     def test_case_iii_reference(self):
-        eq = solve_case(fig2_params(4.0), "iii")
+        eq = solve_cases(fig2_params(4.0))["iii"]
         assert eq.atom_a == 1.0 and eq.atom_b == 0.0
         assert eq.segments_b[0].start == pytest.approx(0.5, abs=1e-12)
 
     def test_case_iv_reference(self):
-        eq = solve_case(fig2_params(8.0), "iv")
+        eq = solve_cases(fig2_params(8.0))["iv"]
         assert eq.atom_a == pytest.approx(0.5, abs=1e-12)
         assert eq.atom_b == 0.0
         sa, sb = eq.segments_a[0], eq.segments_b[0]
@@ -135,16 +131,17 @@ class TestSolveCase:
         assert sb.density == pytest.approx(4.0)
 
     def test_unknown_belief_rejected(self):
-        eq = solve_case(fig2_params(2.0), "ii")
+        eq = solve_cases(fig2_params(2.0))["ii"]
         for read in (eq.atom, eq.segments, lambda side: eq.cdf(side, 0.5)):
             with pytest.raises(ValueError, match="belief"):
                 read("c")
 
     def test_wrong_tag_rejected(self):
-        with pytest.raises(InvalidCaseError):
-            solve_case(fig2_params(2.0), "iv")
-        with pytest.raises(InvalidCaseError):
-            solve_case(fig2_params(2.0), "vii")
+        # neither a case that does not apply nor an unknown tag is built
+        cases = solve_cases(fig2_params(2.0))
+        for tag in ("iv", "vii"):
+            with pytest.raises(KeyError):
+                cases[tag]
 
     def test_masses_sum_to_one(self):
         rng = np.random.default_rng(17)
@@ -154,8 +151,7 @@ class TestSolveCase:
             mb = ma * rng.uniform(1.05, 5)
             T = rng.uniform(0.05, 1.5) * thresholds(FluidParams(la, lb, ma, mb, 1))[3]
             p = FluidParams(la, lb, ma, mb, T)
-            for tag in classify(p):
-                eq = solve_case(p, tag)
+            for eq in solve_cases(p).values():
                 for side in "ab":
                     mass = eq.atom(side) + sum(s.mass for s in eq.segments(side))
                     assert mass == pytest.approx(1.0, abs=1e-9)
@@ -163,13 +159,13 @@ class TestSolveCase:
     def test_case_boundary_continuity(self):
         p = fig2_params(2.0)
         x2 = thresholds(p)[1]
-        eq = solve_case(dataclasses.replace(p, horizon=x2 - 1e-9), "ii")
+        eq = solve_cases(dataclasses.replace(p, horizon=x2 - 1e-9))["ii"]
         assert eq.atom_b == pytest.approx(0.0, abs=1e-8)
 
     def test_own_segment_densities(self):
         for mu_b, tag in ((2.0, "ii"), (4.0, "iii"), (8.0, "iv")):
             p = fig2_params(mu_b)
-            eq = solve_case(p, tag)
+            eq = solve_cases(p)[tag]
             for seg in eq.segments_a:
                 assert seg.density == pytest.approx(p.mu_a / p.lam_a)
             for seg in eq.segments_b:
@@ -177,7 +173,7 @@ class TestSolveCase:
 
     def test_pessimists_arrive_first(self):
         for mu_b, tag in ((4.0, "iii"), (8.0, "iv")):
-            eq = solve_case(fig2_params(mu_b), tag)
+            eq = solve_cases(fig2_params(mu_b))[tag]
             last_a = max((s.end for s in eq.segments_a), default=0.0)
             first_b = min(s.start for s in eq.segments_b)
             assert last_a <= first_b + 1e-12
@@ -186,20 +182,20 @@ class TestSolveCase:
 class TestCdf:
     def test_terminal_mass(self):
         for mu_b, tag in ((1.5, "i"), (2.0, "ii"), (4.0, "iii"), (8.0, "iv")):
-            eq = solve_case(fig2_params(mu_b), tag)
+            eq = solve_cases(fig2_params(mu_b))[tag]
             assert eq.cdf("a", 1.0) == pytest.approx(1.0, abs=1e-12)
             assert eq.cdf("b", 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_case_ii_atom(self):
-        eq = solve_case(fig2_params(2.0), "ii")
+        eq = solve_cases(fig2_params(2.0))["ii"]
         assert eq.cdf("b", 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_case_iv_midpoint(self):
-        eq = solve_case(fig2_params(8.0), "iv")
+        eq = solve_cases(fig2_params(8.0))["iv"]
         assert eq.cdf("a", 0.5) == pytest.approx(0.75, abs=1e-12)
 
     def test_out_of_range(self):
-        eq = solve_case(fig2_params(2.0), "ii")
+        eq = solve_cases(fig2_params(2.0))["ii"]
         with pytest.raises(ValueError):
             eq.cdf("a", 1.5)
 
@@ -231,12 +227,12 @@ class TestInputChecks:
 class TestVerify:
     def test_case_i_exact(self):
         p = fig2_params(1.5)
-        assert verify_fluid(p, solve_case(p, "i"), 2000) == 0.0
+        assert verify_fluid(p, solve_cases(p)["i"], 2000) == 0.0
 
     def test_closed_forms_verify(self):
         for mu_b, tag in ((2.0, "ii"), (4.0, "iii"), (8.0, "iv")):
             p = fig2_params(mu_b)
-            assert verify_fluid(p, solve_case(p, tag), 5000) <= 1e-9
+            assert verify_fluid(p, solve_cases(p)[tag], 5000) <= 1e-9
 
     @pytest.mark.parametrize(
         "mu_b, horizon, tag, second",
@@ -253,7 +249,7 @@ class TestVerify:
         other = FluidEquilibrium(
             horizon, 1.0, 0.0, (), (Segment(start, horizon, 1.0 / (horizon - start)),), p.lam_a / 2
         )
-        eq = solve_case(p, tag)
+        eq = solve_cases(p)[tag]
         grid = np.linspace(0.0, horizon, 101)
         differs = np.abs(eq.cdf("b", grid) - other.cdf("b", grid)).max() > 0.1
         assert (verify_fluid(p, other, 5000) == 0.0 and differs) == second
@@ -261,7 +257,7 @@ class TestVerify:
 
     def test_negative_control(self):
         p = fig2_params(2.0)
-        eq = solve_case(p, "ii")
+        eq = solve_cases(p)["ii"]
         shifted = FluidEquilibrium(
             eq.horizon,
             eq.atom_a,
@@ -276,11 +272,11 @@ class TestVerify:
     def test_grid_n_must_be_an_integer(self, grid_n):
         p = fig2_params(2.0)
         with pytest.raises(ValueError, match="grid_n"):
-            verify_fluid(p, solve_case(p, "ii"), grid_n)
+            verify_fluid(p, solve_cases(p)["ii"], grid_n)
 
     def test_integral_float_grid_n_runs(self):
         p = fig2_params(2.0)
-        eq = solve_case(p, "ii")
+        eq = solve_cases(p)["ii"]
         assert verify_fluid(p, eq, 1001.0) == verify_fluid(p, eq, 1001)
 
     def test_all_classified_tags_verify(self):
@@ -292,8 +288,8 @@ class TestVerify:
             mb = ma * rng.uniform(1.05, 6)
             T = rng.uniform(0.05, 1.5) * thresholds(FluidParams(la, lb, ma, mb, 1))[3]
             p = FluidParams(la, lb, ma, mb, T)
-            for tag in classify(p):
-                violation = verify_fluid(p, solve_case(p, tag), 3000)
+            for tag, eq in solve_cases(p).items():
+                violation = verify_fluid(p, eq, 3000)
                 assert violation <= 1e-9, (p, tag, violation)
                 checked += 1
         assert checked >= 40

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arrivalgames.dists import make_deterministic, make_geometric
-from arrivalgames.signals import SignalParams, posterior_views, signal_marginals
+from arrivalgames.signals import SignalParams, posterior_views
 
 
 def params(lam=10.0, p=0.5, q=0.9, chi=(4, 2)):
@@ -17,39 +17,45 @@ def split(p, q, lam):
     return va.nu, vb.nu
 
 
+def marginals(p, q):
+    """The probabilities that a customer's signal reads a, respectively b."""
+    return tuple(view.marginal for view in posterior_views(params(p=p, q=q)))
+
+
 def hand_expanded(p, q, lam):
     """The posterior written out conditional by conditional: the oracle
     for the joint-table construction in ``posterior_views``."""
-    pa, pb = signal_marginals(p, q)
+    pa = p * q + (1.0 - p) * (1.0 - q)
+    pb = p * (1.0 - q) + (1.0 - p) * q
     aa = (p * q * q + (1.0 - p) * (1.0 - q) * (1.0 - q)) / pa
     ba = (p * q * (1.0 - q) + (1.0 - p) * (1.0 - q) * q) / pa
     ab = (p * (1.0 - q) * q + (1.0 - p) * q * (1.0 - q)) / pb
     bb = (p * (1.0 - q) * (1.0 - q) + (1.0 - p) * q * q) / pb
     eta_a = (p * q / pa, (1.0 - p) * (1.0 - q) / pa)
     eta_b = (p * (1.0 - q) / pb, (1.0 - p) * q / pb)
-    return ((lam * aa, lam * ba), eta_a), ((lam * ab, lam * bb), eta_b)
+    return (pa, (lam * aa, lam * ba), eta_a), (pb, (lam * ab, lam * bb), eta_b)
 
 
 class TestMarginals:
     def test_symmetric_case(self):
-        assert signal_marginals(0.5, 0.9) == (0.5, 0.5)
+        assert marginals(0.5, 0.9) == (0.5, 0.5)
 
     def test_perfect_signal(self):
-        pa, pb = signal_marginals(0.3, 1.0)
+        pa, pb = marginals(0.3, 1.0)
         assert pa == pytest.approx(0.3) and pb == pytest.approx(0.7)
 
     def test_single_mode(self):
-        pa, pb = signal_marginals(1.0, 0.9)
+        pa, pb = marginals(1.0, 0.9)
         assert pa == pytest.approx(0.9) and pb == pytest.approx(0.1)
 
     def test_rejects_uninformative(self):
-        with pytest.raises(ValueError):
-            signal_marginals(0.5, 0.5)
+        with pytest.raises(ValueError, match="signal correctness q must lie in"):
+            params(q=0.5)
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_rejects_bad_mode_probability(self, p):
         with pytest.raises(ValueError, match="mode probability p must lie in"):
-            signal_marginals(p, 0.9)
+            params(p=p)
 
 
 class TestConditionalSplit:
@@ -80,23 +86,23 @@ class TestConditionalSplit:
             p = rng.uniform(0.0, 1.0)
             q = rng.uniform(0.5001, 1.0)
             lam = rng.uniform(0.1, 30.0)
-            ma, mb = signal_marginals(p, q)
+            ma, mb = marginals(p, q)
             nu_a, nu_b = split(p, q, lam)
             assert ma * nu_a[0] + mb * nu_b[0] == pytest.approx(lam * ma, abs=1e-12)
             assert ma * nu_a[1] + mb * nu_b[1] == pytest.approx(lam * mb, abs=1e-12)
 
     def test_joint_table_matches_hand_expanded_conditionals(self):
         # 5 000 seeded draws plus the edges p in {0, 1} and q = 1 where the
-        # other signal is still observed: nu and eta agree bit for bit, and
-        # zeta is the posterior law's own mean, within 1e-15 of the
-        # weighted sum of the mode means
+        # other signal is still observed: the marginal, nu and eta agree bit
+        # for bit, and zeta is the posterior law's own mean, within 1e-15 of
+        # the weighted sum of the mode means
         rng = np.random.default_rng(29)
         draws = [tuple(row) for row in rng.uniform((0.0, 0.5, 0.1), (1.0, 1.0, 30.0), (5000, 3))]
         draws += [(0.0, 0.9, 5.0), (1.0, 0.9, 5.0), (0.3, 1.0, 5.0), (0.7, 1.0, 2.5)]
         for p, q, lam in draws:
             views = posterior_views(params(lam=lam, p=p, q=q))
-            for view, (nu, eta) in zip(views, hand_expanded(p, q, lam), strict=True):
-                assert view.nu == nu and view.eta == eta, (p, q, lam)
+            for view, (marginal, nu, eta) in zip(views, hand_expanded(p, q, lam), strict=True):
+                assert (view.marginal, view.nu, view.eta) == (marginal, nu, eta), (p, q, lam)
                 assert view.zeta == view.z.chi
                 assert abs(view.zeta - (eta[0] * 4.0 + eta[1] * 2.0)) <= 1e-15
 

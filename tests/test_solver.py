@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1000,6 +1001,68 @@ class TestJointFinish:
         assert 9 in rep.support_b
         assert pair[0].sum() == pytest.approx(1.0, abs=1e-15)
         assert rep.max_support_spread <= 1e-8 and rep.max_offsupport_violation <= 1e-8
+
+    @pytest.mark.parametrize(
+        "game, iterations",
+        [
+            (SlotGame(2.3429755827809537, 3.0109823974048937, 2, 28,
+                      make_deterministic(4), make_deterministic(2)), 29),
+            (SlotGame(4.967507646378521, 1.3219755298448663, 3, 26,
+                      make_deterministic(3), make_deterministic(2)), 345),
+            (SlotGame(5.809116184543649, 1.1915552921035906, 3, 72,
+                      make_deterministic(4), make_deterministic(2)), 7),
+        ],
+        ids=["wide10-game34", "wide12-game76", "large2-game11"],
+    )
+    def test_block_games_converge(self, game, iterations):
+        # games of the wide draws at seeds 10 and 12 and of the large draw
+        # (lambda up to 50, 30-80 slots) at seed 2, whose types share
+        # slots. They converge only if the finisher's block is narrow
+        # enough for its pair to pass a tenth of verify_tol and its moves
+        # of the shared set do not cycle
+        cfg = SolverConfig()
+        _, _, rep = iterated_best_response(game, cfg)
+        assert rep.converged and rep.iterations == iterations
+        assert rep.passes(0.1 * cfg.verify_tol)
+
+    def test_failing_solve_is_bounded_and_warns_nothing(self, monkeypatch):
+        # game 37 of the large draw at seed 2 cycles with period 2, and every
+        # finisher call fails. A call gives up on a shared set without load
+        # instead of splitting it (0 / 0) and on a move back to a slot it
+        # has moved to, instead of spending its budget on the cycle
+        steps = [0]
+        advance = WorkloadStepper.advance
+
+        def counted(stepper, *args):
+            steps[0] += 1
+            return advance(stepper, *args)
+
+        monkeypatch.setattr(WorkloadStepper, "advance", counted)
+        g = SlotGame(
+            9.245190285168976, 39.99057308459679, 2, 61,
+            make_geometric(3.226814267235141), make_geometric(1.5426855963785786),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, rep = iterated_best_response(g, SolverConfig(max_outer=60))
+        assert not rep.converged
+        assert steps[0] <= 1.1 * 24836
+
+    def test_overfilled_start_gives_up_after_one_fill(self, monkeypatch):
+        # waits far past br20's equilibrium load more than 1 + _EXACT_SPAN
+        # times both populations, which no pair of masses can match
+        fills = []
+        joint_fill = solver._joint_fill
+
+        def counted(*args):
+            fills.append(joint_fill(*args))
+            return fills[-1]
+
+        monkeypatch.setattr(solver, "_joint_fill", counted)
+        g = br20()
+        assert solver._finish(g, (1e3, 1e3), EPS, 100) is None
+        (load, _), = fills
+        assert load.sum() > (1.0 + solver._EXACT_SPAN) * (g.lam_a + g.lam_b)
 
 
 class TestExistenceBattery:

@@ -169,16 +169,16 @@ def test_public_surface_is_pinned():
     assert sorted(arrivalgames.__all__) == [
         "AbmConfig", "AbmResult", "ArrivalStrategy",
         "DominanceReport", "EquilibriumReport",
-        "FluidEquilibrium", "FluidParams", "InvalidCaseError",
+        "FluidEquilibrium", "FluidParams",
         "InvalidStrategyError", "NumericFailure", "Pmf", "PosteriorView",
         "Segment", "ServiceDist", "SignalParams", "SlotGame", "SolverConfig",
         "SupportBudgetError", "WorkloadProfile", "WorkloadStepper",
-        "best_response", "choose_slot", "classify", "compound_poisson",
+        "best_response", "choose_slot", "compound_poisson",
         "convolve", "coupled_dominance",
         "iterated_best_response", "make_deterministic", "make_geometric",
         "make_geometric_mixture", "mix_services",
-        "posterior_views", "run_abm", "signal_marginals", "simulate_day",
-        "solve_case", "solve_fr", "thresholds", "verify_equilibrium",
+        "posterior_views", "run_abm", "simulate_day",
+        "solve_cases", "solve_fr", "thresholds", "verify_equilibrium",
         "verify_fluid", "workload_profile",
     ]
     fields = {
@@ -212,7 +212,7 @@ def test_public_surface_is_pinned():
         "FluidEquilibrium": [
             "horizon", "atom_a", "atom_b", "segments_a", "segments_b", "q0", "non_unique",
         ],
-        "PosteriorView": ["nu", "eta", "z", "zeta"],
+        "PosteriorView": ["marginal", "nu", "eta", "z", "zeta"],
         "AbmResult": [
             "pbar", "wbar_pop", "slot_mean_wait", "explored", "decisions", "days",
             "contributing",
