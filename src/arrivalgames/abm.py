@@ -22,10 +22,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .dists import ServiceDist
+from .dists import ServiceDist, _check_counts, _count
 from .fluid import FluidEquilibrium, FluidParams
 from .signals import SignalParams, _side
-from .workload import ArrivalStrategy, _check_counts, _count
+from .workload import ArrivalStrategy
 
 
 def _check_sigmoid(c1: float, c2: float) -> None:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import abm as abm_mod
 from . import fluid as fluid_mod
-from .dists import ServiceDist, make_deterministic, make_geometric, make_geometric_mixture
+from .dists import ServiceDist, _count, make_deterministic, make_geometric, make_geometric_mixture
 from .signals import SignalParams, posterior_views
 from .solver import (
     NumericFailure,
@@ -49,7 +49,7 @@ from .solver import (
     iterated_best_response,
     solve_fr,
 )
-from .workload import SlotGame, _count
+from .workload import SlotGame
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -78,6 +78,28 @@ class SupportBudgetError(ValueError):
     """An input needs a support past the kernel's fixed size budget."""
 
 
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int if it is an integer of at least ``least``
+    (integral floats pass), else ``ValueError``, also for NaN, infinity and
+    an integer past the float range."""
+    try:
+        whole = value >= least and float(value).is_integer()
+    except OverflowError:
+        raise ValueError(f"{name} lies past the float range") from None
+    if not whole:
+        kinds = {1: "a positive integer", 0: "a nonnegative integer"}
+        kind = kinds.get(least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def _check_counts(obj, **names: str) -> None:
+    """Store each given field of the frozen dataclass ``obj`` as an int
+    through ``_count``; the keyword's value names the field in errors."""
+    for field, name in names.items():
+        object.__setattr__(obj, field, _count(getattr(obj, field), name))
+
+
 _INDEX = np.arange(0.0)
 
 
@@ -141,15 +163,13 @@ class Pmf:
 
     @classmethod
     def point_mass(cls, k: int) -> "Pmf":
-        if not 0 <= k < math.inf or int(k) != k:
-            raise ValueError("point mass location must be a nonnegative integer")
+        k = _count(k, "point mass location", 0)
         if not k < _MAX_SUPPORT:
             raise SupportBudgetError(
-                f"a point mass at {k!r} needs {int(k) + 1} entries, past the budget of "
-                f"{_MAX_SUPPORT}"
+                f"a point mass at {k!r} needs {k + 1} entries, past the budget of {_MAX_SUPPORT}"
             )
-        arr = np.zeros(int(k) + 1)
-        arr[int(k)] = 1.0
+        arr = np.zeros(k + 1)
+        arr[k] = 1.0
         return cls(arr, 0.0)
 
     def __len__(self) -> int:
@@ -209,9 +229,7 @@ class ServiceDist:
 def make_deterministic(chi) -> ServiceDist:
     """Point mass at an integer service time; past the support budget it
     raises ``SupportBudgetError`` before allocating."""
-    if not 1 <= chi < math.inf or chi != int(chi):
-        raise ValueError("deterministic service time must be an integer >= 1")
-    chi = int(chi)
+    chi = _count(chi, "deterministic service time")
     return ServiceDist("deterministic", float(chi), 0.0, Pmf.point_mass(chi))
 
 

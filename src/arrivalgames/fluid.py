@@ -15,8 +15,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from .dists import _count
 from .signals import _side
-from .workload import _count
 
 CASE_TAGS = ("i", "ii", "iii", "iv", "v", "vi")
 
@@ -196,9 +196,7 @@ def verify_fluid(params: FluidParams, eq: FluidEquilibrium, grid_n: int = 10_000
     support falls below its minimum on the support). ``grid_n`` must be
     an integer of at least 2 (integral floats pass), else ``ValueError``.
     """
-    grid_n = _count(grid_n, "grid_n")
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
+    grid_n = _count(grid_n, "grid_n", 2)
     grid = _verification_grid(eq, grid_n)
     worst = 0.0
     for side in ("a", "b"):

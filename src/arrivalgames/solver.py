@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import NumericFailure
+from .dists import NumericFailure, _count
 from .signals import SignalParams, posterior_views
 from .workload import (
     ArrivalStrategy,
     SlotGame,
     WorkloadStepper,
     _as_probs,
-    _count,
     workload_profile,
 )
 
@@ -586,7 +585,12 @@ def iterated_best_response(
 
     Non-convergence within ``cfg.max_outer`` rounds is reported, not
     raised: the last pair is verified at ``verify_tol`` and reported with
-    ``converged`` False, so a converged report always has ``passed``.
+    ``converged`` False, so a converged report always has ``passed``. In
+    the worst case a finisher call makes max(budget, 4) joint fills, each
+    of at most 2 (n_slots - 1) workload steps, and calls come from round 3
+    on, ``_RETRY_ROUNDS`` or more apart: at most the sum of 2r over r = 3,
+    14, 25, ... <= ``max_outer`` joint fills in all, 23 046 at
+    ``max_outer`` = 500.
     """
     pair = np.zeros((2, game.n_slots))
     pair[:, 0] = 1.0

@@ -23,6 +23,8 @@ from .dists import (
     Pmf,
     ServiceDist,
     _add_compound,
+    _check_counts,
+    _count,
     _index,
 )
 # Unused here: bench/tracer.py wraps both names in this namespace, and
@@ -36,27 +38,6 @@ _DELTA0.flags.writeable = False
 
 class InvalidStrategyError(ValueError):
     """Arrival strategy is not a probability vector within tolerance."""
-
-
-def _count(value, name: str, least: int = 1) -> int:
-    """``value`` as an int if it is an integer of at least ``least``, 1 or 0
-    (integral floats pass), else ``ValueError``, also for NaN, infinity and
-    an integer past the float range."""
-    try:
-        whole = value >= least and float(value).is_integer()
-    except OverflowError:
-        raise ValueError(f"{name} lies past the float range") from None
-    if not whole:
-        kind = "a positive" if least else "a nonnegative"
-        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
-    return int(value)
-
-
-def _check_counts(obj, **names: str) -> None:
-    """Store each given field of the frozen dataclass ``obj`` as an int
-    through ``_count``; the keyword's value names the field in errors."""
-    for field, name in names.items():
-        object.__setattr__(obj, field, _count(getattr(obj, field), name))
 
 
 @dataclass(frozen=True)
@@ -109,14 +90,17 @@ class ArrivalStrategy:
     @classmethod
     def point_mass(cls, n_slots: int, slot: int = 0) -> "ArrivalStrategy":
         """All mass on ``slot``, an integer in [0, n_slots), else ``ValueError``."""
-        if not (0 <= slot < n_slots and float(slot).is_integer()):
-            raise ValueError(f"slot must be an integer in [0, {n_slots!r}), got {slot!r}")
-        arr = np.zeros(n_slots)
-        arr[int(slot)] = 1.0
+        arr = np.zeros(_count(n_slots, "slot count"))
+        slot = _count(slot, "slot", 0)
+        if slot >= arr.size:
+            raise ValueError(f"slot must be an integer in [0, {arr.size}), got {slot!r}")
+        arr[slot] = 1.0
         return cls(arr)
 
     @classmethod
     def uniform(cls, n_slots: int) -> "ArrivalStrategy":
+        """Equal mass on ``n_slots`` slots, a positive integer, else ``ValueError``."""
+        n_slots = _count(n_slots, "slot count")
         return cls(np.full(n_slots, 1.0 / n_slots))
 
     @property
@@ -243,14 +227,10 @@ class WorkloadStepper:
 @dataclass(frozen=True)
 class WorkloadProfile:
     """Per-slot mean workloads and expected waits under one belief, for a
-    fixed pair of arrival strategies.
-
-    ``ev`` holds the direct means of the workload laws, ``ev_telescoped``
-    the running-sum form; the two agree up to truncation dust.
-    """
+    fixed pair of arrival strategies: ``ev`` holds the means of the
+    workload laws."""
 
     ev: np.ndarray
-    ev_telescoped: np.ndarray
     w: np.ndarray
 
 
@@ -261,17 +241,16 @@ def workload_profile(
     belief: str,
     mass_tol: float = 1e-6,
 ) -> WorkloadProfile:
-    """Mean workload, in both forms, and expected wait for every slot."""
+    """Mean workload and expected wait for every slot."""
     pa = _as_probs(p_a, game.n_slots, mass_tol)
     pb = _as_probs(p_b, game.n_slots, mass_tol)
     loads = game.lam_a * pa + game.lam_b * pb
     stepper = WorkloadStepper(game.service(belief), game.tau)
     state = stepper.initial()
-    evs, tels, ws = [], [], []
+    evs, ws = [], []
     for t in range(game.n_slots):
         evs.append(state.ev)
-        tels.append(state.ev_tel)
         ws.append(stepper.wait(state, loads[t]))
         if t + 1 < game.n_slots:
             state = stepper.advance(state, loads[t])
-    return WorkloadProfile(np.array(evs), np.array(tels), np.array(ws))
+    return WorkloadProfile(np.array(evs), np.array(ws))

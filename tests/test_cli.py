@@ -308,7 +308,7 @@ class TestScenarioParsing:
         out = tmp_path / "o"
         args = ["run", str(path), "--out", str(out), "--override", f"game.chi_a={chi}"]
         assert main(args) == EXIT_INVALID_PARAMS
-        assert "integer >= 1" in capsys.readouterr().err
+        assert "deterministic service time must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_percent_in_value_is_a_bad_value(self, tmp_path, capsys):

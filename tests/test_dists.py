@@ -56,8 +56,13 @@ class TestServiceConstructors:
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, math.inf, math.nan])
     def test_deterministic_rejects(self, bad):
-        with pytest.raises(ValueError, match="integer >= 1"):
+        with pytest.raises(ValueError, match="deterministic service time must be a positive integer"):
             make_deterministic(bad)
+
+    def test_deterministic_past_float_range_is_a_value_error(self):
+        # float(chi) overflows past the float range
+        with pytest.raises(ValueError, match="deterministic service time lies past the float range"):
+            make_deterministic(10**400)
 
     def test_geometric_cv(self):
         g = make_geometric(4)

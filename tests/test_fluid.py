@@ -268,10 +268,10 @@ class TestVerify:
         )
         assert verify_fluid(p, shifted, 2000) > 0.01
 
-    @pytest.mark.parametrize("grid_n", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("grid_n", [0, 1, 2.5, math.nan, math.inf])
     def test_grid_n_must_be_an_integer(self, grid_n):
         p = fig2_params(2.0)
-        with pytest.raises(ValueError, match="grid_n"):
+        with pytest.raises(ValueError, match="grid_n must be an integer of at least 2"):
             verify_fluid(p, solve_cases(p)["ii"], grid_n)
 
     def test_integral_float_grid_n_runs(self):

@@ -145,6 +145,26 @@ def period_two_game() -> SlotGame:
     )
 
 
+def cycle_game() -> SlotGame:
+    """Game 37 of the large draw (lambda up to 50, 30-80 slots) at seed 2:
+    the plain alternation cycles with period 2 and no finisher call
+    succeeds."""
+    return SlotGame(
+        9.245190285168976, 39.99057308459679, 2, 61,
+        make_geometric(3.226814267235141), make_geometric(1.5426855963785786),
+    )
+
+
+def move_back_game() -> SlotGame:
+    """Game 81 of the wide draw at seed 8, whose finisher calls at rounds
+    18, 29 and 40 end on a move back of their shared set."""
+    return SlotGame(
+        10.805466858099232, 10.326958814841857, 3, 19,
+        make_geometric_mixture(2.5978213239603773, 1.2263883820469692),
+        make_geometric_mixture(1.3060003074054283, 0.7760734407415243),
+    )
+
+
 def br20() -> SlotGame:
     """The paper's 20-slot geometric game."""
     return SlotGame(5.0, 5.0, 3, 20, make_geometric(4), make_geometric(2))
@@ -1026,10 +1046,10 @@ class TestJointFinish:
         assert rep.passes(0.1 * cfg.verify_tol)
 
     def test_failing_solve_is_bounded_and_warns_nothing(self, monkeypatch):
-        # game 37 of the large draw at seed 2 cycles with period 2, and every
-        # finisher call fails. A call gives up on a shared set without load
-        # instead of splitting it (0 / 0) and on a move back to a slot it
-        # has moved to, instead of spending its budget on the cycle
+        # every finisher call on the cycle game fails: the one at round 6
+        # spends its budget of 12 fills, and the four after it close their
+        # residuals with slot 7 shared but no load on it, and give up
+        # instead of splitting that set's load (0 / 0)
         steps = [0]
         advance = WorkloadStepper.advance
 
@@ -1038,15 +1058,59 @@ class TestJointFinish:
             return advance(stepper, *args)
 
         monkeypatch.setattr(WorkloadStepper, "advance", counted)
-        g = SlotGame(
-            9.245190285168976, 39.99057308459679, 2, 61,
-            make_geometric(3.226814267235141), make_geometric(1.5426855963785786),
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, _, rep = iterated_best_response(g, SolverConfig(max_outer=60))
+            _, _, rep = iterated_best_response(cycle_game(), SolverConfig(max_outer=60))
         assert not rep.converged
         assert steps[0] <= 1.1 * 24836
+
+    def test_move_back_ends_a_call(self, monkeypatch):
+        # the calls at rounds 18, 29 and 40 move their shared set back to a
+        # slot it has left and give up there; the solve converges at round
+        # 44 after 6 695 workload steps, and takes 10 655 when those calls
+        # spend their budgets instead
+        steps = [0]
+        advance = WorkloadStepper.advance
+
+        def counted(stepper, *args):
+            steps[0] += 1
+            return advance(stepper, *args)
+
+        monkeypatch.setattr(WorkloadStepper, "advance", counted)
+        cfg = SolverConfig()
+        _, _, rep = iterated_best_response(move_back_game(), cfg)
+        assert rep.converged and rep.iterations == 44
+        assert rep.passes(0.1 * cfg.verify_tol)
+        assert steps[0] <= 1.1 * 6695
+
+    @pytest.mark.parametrize(
+        "game, max_outer",
+        [(cycle_game(), 60), (move_back_game(), 500)],
+        ids=["cycle", "move-back"],
+    )
+    def test_call_makes_at_most_its_budget_of_joint_fills(self, monkeypatch, game, max_outer):
+        # a call's first fill, the block's refill and the two forward
+        # differences come before its first budget check, so it makes at
+        # most max(budget, 4) joint fills. The calls at round 6 of the cycle
+        # game and round 7 of the other spend their whole budgets
+        fills, calls = [0], []
+        joint_fill, finish = solver._joint_fill, solver._finish
+
+        def counted(*args):
+            fills[0] += 1
+            return joint_fill(*args)
+
+        def spy(game, wbar, eps, budget):
+            fills[0] = 0
+            out = finish(game, wbar, eps, budget)
+            calls.append((budget, fills[0]))
+            return out
+
+        monkeypatch.setattr(solver, "_joint_fill", counted)
+        monkeypatch.setattr(solver, "_finish", spy)
+        iterated_best_response(game, SolverConfig(max_outer=max_outer))
+        assert all(used <= max(budget, 4) for budget, used in calls), calls
+        assert any(used == budget for budget, used in calls), calls
 
     def test_overfilled_start_gives_up_after_one_fill(self, monkeypatch):
         # waits far past br20's equilibrium load more than 1 + _EXACT_SPAN

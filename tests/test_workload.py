@@ -83,11 +83,31 @@ class TestArrivalStrategy:
         again = ArrivalStrategy(s)
         assert np.array_equal(again.probs, s.probs) and again.probs[1] == 0.0
 
-    @pytest.mark.parametrize("slot", [-1, 4, 0.5, math.nan])
-    def test_point_mass_slot_must_be_in_range(self, slot):
+    @pytest.mark.parametrize(
+        "slot, match",
+        [
+            (-1, "slot must be a nonnegative integer"),
+            (0.5, "slot must be a nonnegative integer"),
+            (math.nan, "slot must be a nonnegative integer"),
+            (4, r"slot must be an integer in \[0, 4\)"),
+        ],
+        ids=["-1", "0.5", "nan", "4"],
+    )
+    def test_point_mass_slot_must_be_in_range(self, slot, match):
         # numpy indexing would put a slot of -1 on the last slot
-        with pytest.raises(ValueError, match=r"slot must be an integer in \[0, 4\)"):
+        with pytest.raises(ValueError, match=match):
             ArrivalStrategy.point_mass(4, slot)
+
+    @pytest.mark.parametrize("n_slots", [0, 2.5, -1, math.inf, pytest.param(10**400, id="1e400")])
+    @pytest.mark.parametrize("build", [ArrivalStrategy.uniform, ArrivalStrategy.point_mass])
+    def test_slot_count_must_be_a_positive_integer(self, build, n_slots):
+        # unchecked, uniform(0) divides by zero and a float count reaches
+        # numpy as a TypeError
+        with pytest.raises(ValueError, match="slot count"):
+            build(n_slots)
+
+    def test_uniform_takes_an_integral_float_count(self):
+        assert np.array_equal(ArrivalStrategy.uniform(4.0).probs, np.full(4, 0.25))
 
     def test_point_mass_takes_an_integral_float_slot(self):
         assert np.array_equal(ArrivalStrategy.point_mass(3, 2.0).probs, [0.0, 0.0, 1.0])
@@ -153,6 +173,8 @@ class TestWorkloadProfile:
 
 class TestDualMeanAgreement:
     def test_small_random_instances(self):
+        # the direct and the telescoped mean of every state the profile
+        # walks agree within truncation dust
         rng = np.random.default_rng(9)
         for _ in range(12):
             n = int(rng.integers(2, 11))
@@ -168,16 +190,12 @@ class TestDualMeanAgreement:
             pa = rng.dirichlet(np.ones(n))
             pb = rng.dirichlet(np.ones(n))
             for belief in "ab":
-                prof = workload_profile(g, pa, pb, belief, mass_tol=1e-9)
-                # The longest workload law, from the states the profile walks.
                 stepper = WorkloadStepper(g.service(belief), tau)
-                state = stepper.initial()
-                k_max = state.v.size
+                states = [stepper.initial()]
                 for load in (g.lam_a * pa + g.lam_b * pb)[:-1]:
-                    state = stepper.advance(state, load)
-                    k_max = max(k_max, state.v.size)
-                tol = 10 * 1e-12 * max(k_max, 1)
-                assert np.max(np.abs(prof.ev - prof.ev_telescoped)) <= tol
+                    states.append(stepper.advance(states[-1], load))
+                tol = 10 * 1e-12 * max(s.v.size for s in states)
+                assert max(abs(s.ev - s.ev_tel) for s in states) <= tol
 
     def test_disagreement_raises_typed_error(self):
         # a state whose telescoped mean (0) misstates its law's mean (5)
