@@ -3,8 +3,8 @@
 Everything lives on the nonnegative integer lattice: service-time laws
 (deterministic, geometric, two-component geometric mixtures), pmf
 convolution, and the compound-Poisson law of the work arriving in one
-time slot. A checked ``Pmf`` is a dense float array with an explicit
-bound on the probability mass lost to truncation.
+time slot. A checked ``Pmf`` is a dense float array whose mass lost to
+truncation is its measured deficit, one minus its total.
 
 One private kernel on plain arrays adds a slot's compound-Poisson work
 to a workload law. For long jump laws (geometric, mixtures) it takes one
@@ -128,12 +128,11 @@ class Pmf:
     """Probability mass function on {0, 1, 2, ...}.
 
     ``mass[k]`` is P(X = k) up to the truncation point K = len(mass) - 1.
-    ``tail_bound`` is an upper bound on the mass beyond K; when not given
-    it is set to the measured deficit ``max(0, 1 - sum(mass))``.
+    ``tail_bound``, the mass beyond K, is the measured deficit
+    ``max(0, 1 - sum(mass))``.
     """
 
     mass: np.ndarray
-    tail_bound: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.mass, dtype=float)
@@ -145,21 +144,9 @@ class Pmf:
         total = float(arr.sum())
         if total > 1.0 + 1e-9:
             raise ValueError(f"pmf total mass {total!r} exceeds 1")
-        deficit = max(0.0, 1.0 - total)
-        if self.tail_bound is None:
-            bound = deficit
-        else:
-            bound = float(self.tail_bound)
-            if not 0.0 <= bound < math.inf:
-                raise ValueError("tail_bound must be nonnegative and finite")
-            if deficit > bound + 1e-9:
-                raise ValueError(
-                    f"measured deficit {deficit!r} exceeds tail_bound {bound!r}"
-                )
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
-        object.__setattr__(self, "tail_bound", bound)
 
     @classmethod
     def point_mass(cls, k: int) -> "Pmf":
@@ -170,7 +157,7 @@ class Pmf:
             )
         arr = np.zeros(k + 1)
         arr[k] = 1.0
-        return cls(arr, 0.0)
+        return cls(arr)
 
     def __len__(self) -> int:
         return self.mass.size
@@ -178,6 +165,10 @@ class Pmf:
     @property
     def total(self) -> float:
         return float(self.mass.sum())
+
+    @property
+    def tail_bound(self) -> float:
+        return max(0.0, 1.0 - self.total)
 
     def mean(self) -> float:
         return float(np.arange(self.mass.size) @ self.mass)
@@ -233,16 +224,22 @@ def make_deterministic(chi) -> ServiceDist:
     return ServiceDist("deterministic", float(chi), 0.0, Pmf.point_mass(chi))
 
 
-def _geometric_support(mean: float) -> int:
-    """Largest service time kept of a geometric law with this mean."""
+def _geometric_mass(mean: float, weight: float = 1.0) -> np.ndarray:
+    """``weight`` times a geometric law on {1, 2, ...} with this mean, cut
+    where its tail is within SERVICE_TAIL_TOL."""
     p = 1.0 / mean
-    k_max = math.ceil(math.log(SERVICE_TAIL_TOL) / math.log1p(-p)) + 1 if p > 0.0 else math.inf
-    if not k_max < _MAX_SUPPORT:
+    # The mass past k is (1 - p) ** k; near the float range the quotient
+    # is inf, which fails the check.
+    past = math.log(SERVICE_TAIL_TOL) / math.log1p(-p)
+    if not past <= _MAX_SUPPORT - 2:
         raise SupportBudgetError(
-            f"a geometric law of mean {mean!r} needs {k_max} entries, past the "
+            f"a geometric law of mean {mean!r} needs {past + 2:.4g} entries, past the "
             f"budget of {_MAX_SUPPORT}"
         )
-    return int(k_max)
+    k = np.arange(math.ceil(past) + 1)
+    mass = np.zeros(k.size + 1)
+    mass[1:] = weight * p * (1.0 - p) ** k
+    return mass
 
 
 def make_geometric(chi: float) -> ServiceDist:
@@ -251,12 +248,7 @@ def make_geometric(chi: float) -> ServiceDist:
         raise ValueError("geometric service mean must be finite and >= 1")
     if chi == 1.0:
         return ServiceDist("geometric", 1.0, 0.0, Pmf.point_mass(1))
-    p = 1.0 / chi
-    k_max = _geometric_support(chi)
-    k = np.arange(1, k_max + 1)
-    mass = np.zeros(k_max + 1)
-    mass[1:] = p * (1.0 - p) ** (k - 1)
-    return ServiceDist("geometric", chi, math.sqrt(1.0 - p), Pmf(mass))
+    return ServiceDist("geometric", chi, math.sqrt(1.0 - 1.0 / chi), Pmf(_geometric_mass(chi)))
 
 
 def make_geometric_mixture(chi: float, cv_target: float) -> ServiceDist:
@@ -287,12 +279,7 @@ def make_geometric_mixture(chi: float, cv_target: float) -> ServiceDist:
     beta = (s2 + chi - 2.0 * chi * chi) / denom
     if not 0.0 < beta < 1.0:
         raise ValueError("mixture infeasible at this mean/CV pair")
-    m2 = (chi - beta) / (1.0 - beta)
-    p2 = 1.0 / m2
-    k_max = _geometric_support(m2)
-    mass = np.zeros(k_max + 1)
-    k = np.arange(1, k_max + 1)
-    mass[1:] = (1.0 - beta) * p2 * (1.0 - p2) ** (k - 1)
+    mass = _geometric_mass((chi - beta) / (1.0 - beta), 1.0 - beta)
     mass[1] += beta
     return ServiceDist("geometric_mixture", chi, cv_target, Pmf(mass))
 
@@ -325,7 +312,6 @@ class _JumpLaw:
         atoms = np.flatnonzero(mass)
         weights = mass[atoms]
         self.mass = mass
-        self.tail_bound = x.tail_bound
         # The FFT path loses the missing mass of the truncated jump law
         # through exp(lam (X(0) - 1)); thinning scales by the same factor.
         self.deficit = max(0.0, 1.0 - float(weights.sum()))
@@ -358,7 +344,7 @@ class _JumpLaw:
 
     def __reduce__(self):
         # Memoryviews do not pickle, so a copy is rebuilt from the jump law.
-        return _JumpLaw, (Pmf(self.mass, self.tail_bound),)
+        return _JumpLaw, (Pmf(self.mass),)
 
     def cutoff(self, lam: float, k: int, tol: float) -> float:
         """A length L with E[(k + S); S >= L] <= tol for the compound sum S
@@ -390,7 +376,7 @@ class _JumpLaw:
 
     def floor(self, lam: float) -> float:
         """Mass the compound law misses because the jump law is truncated."""
-        return -math.expm1(-lam * self.tail_bound)
+        return -math.expm1(-lam * self.deficit)
 
     def spectrum(self, n: int) -> np.ndarray:
         """rfft of the jump law wrapped onto n points, minus one."""

@@ -108,9 +108,10 @@ class ArrivalStrategy:
         return float(self.probs.sum())
 
     def normalized(self) -> "ArrivalStrategy":
-        total = self.total
-        if total <= 0.0:
-            raise ValueError("cannot normalize a zero strategy")
+        with np.errstate(over="ignore"):
+            total = self.total
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"cannot normalize a zero strategy or one of total {total!r}")
         return ArrivalStrategy(self.probs / total)
 
     def cdf(self) -> np.ndarray:

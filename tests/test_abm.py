@@ -328,6 +328,12 @@ class TestCoupledDominance:
         with pytest.raises(ValueError, match="path count must be a positive integer"):
             coupled_dominance(DOMINANCE, None, None, n_paths, np.random.default_rng(0))
 
+    def test_overflowing_slot_vector_is_a_value_error(self):
+        # its total overflows: the normalized vector was all zeros, and
+        # rng.choice then failed on probabilities that do not sum to 1
+        with pytest.raises(ValueError, match="cannot normalize"):
+            coupled_dominance(DOMINANCE, [1e308, 1e308], None, 10, np.random.default_rng(0))
+
     def test_decoupled_negative_control(self):
         rng = np.random.default_rng(14)
         rep = coupled_dominance(DOMINANCE, None, None, 300, rng, coupled=False)

@@ -268,14 +268,11 @@ class TestPmfValidation:
         with pytest.raises(ValueError):
             Pmf(np.array([0.8, 0.8]))
 
-    def test_rejects_understated_tail_bound(self):
-        with pytest.raises(ValueError):
-            Pmf(np.array([0.5]), tail_bound=0.1)
-
-    @pytest.mark.parametrize("bound", [-0.1, math.nan, math.inf])
-    def test_rejects_bad_tail_bound(self, bound):
-        with pytest.raises(ValueError, match="tail_bound must be nonnegative and finite"):
-            Pmf(np.array([0.5, 0.5]), tail_bound=bound)
+    def test_tail_bound_is_the_measured_deficit(self):
+        p = Pmf(np.array([0.25, 0.5]))
+        assert p.tail_bound == 0.25
+        with pytest.raises(AttributeError):
+            p.tail_bound = 0.0
 
     @pytest.mark.parametrize("mass", [np.zeros((2, 2)), np.zeros(0)])
     def test_rejects_non_vector(self, mass):

@@ -281,8 +281,10 @@ class TestBudget:
     def test_service_past_budget_fails_before_allocating(self):
         # an infinite mean is out of range, not past the budget: see
         # test_dists.py::TestServiceConstructors::test_geometric_rejects
-        with pytest.raises(SupportBudgetError):
-            make_geometric(1e6)
+        # from a mean of 1e308 on, the support's length overflows to inf
+        for chi in (1e6, 1e308, 1.7e308):
+            with pytest.raises(SupportBudgetError):
+                make_geometric(chi)
         with pytest.raises(SupportBudgetError):
             make_geometric_mixture(4.0, 1e4)
 

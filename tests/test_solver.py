@@ -522,6 +522,41 @@ class TestBisection:
             best_response(minus, g, "a", EPS, max_bisect=1)
 
 
+class StepMassEngine:
+    """A one-slot response engine whose fill carries mass w̄ / 2, except
+    0.4 at w̄ = 2: a search that fills at 1 and then at 2 sees the mass
+    fall, a monotonicity violation."""
+
+    chi, lam_own, n = 2.0, 1.0, 1
+
+    def __init__(self, *args):
+        self.fills = 0
+
+    def fill(self, wbar: float, mass_cap: float) -> tuple[np.ndarray, float]:
+        self.fills += 1
+        mass = 0.4 if wbar == 2.0 else 0.5 * wbar
+        return np.array([mass]), mass
+
+
+class TestMonotonicityCount:
+    def test_search_counts_a_falling_mass(self):
+        # warm at 1 with slope 1/2, the secant step lands on 2; the search
+        # then closes on the jump at 2 by bisection
+        cfg, engine = SolverConfig(), StepMassEngine()
+        warm = _Warm(wbar=1.0, slope=0.5)
+        p = _search_wbar(engine, cfg.eps, cfg.max_bisect, warm)
+        assert abs(p.sum() - 1.0) < cfg.eps
+        assert (warm.violations, engine.fills) == (1, 33)
+
+    def test_solve_reports_both_types_counts(self, monkeypatch):
+        # each type's cold first search fills at 1 and then at 2 and counts
+        # one violation; the second round's responses close at once
+        monkeypatch.setattr(solver, "_ResponseEngine", StepMassEngine)
+        g = SlotGame(1.0, 1.0, 1, 1, make_deterministic(2), make_deterministic(2))
+        _, _, rep = iterated_best_response(g, SolverConfig())
+        assert rep.monotonicity_violations == 2
+
+
 class TestBestResponse:
     def test_point_mass_when_cohort_cost_dominates(self):
         # tiny population, heavy jobs, short slots: the opening cohort term
@@ -1064,6 +1099,26 @@ class TestJointFinish:
         assert not rep.converged
         assert steps[0] <= 1.1 * 24836
 
+    def test_late_converging_game_stays_within_max_outer(self, monkeypatch):
+        # game 26 of the wide draw at seed 9: 36 of its 37 finisher calls
+        # return None and the 37th ends the solve at round 400 of the
+        # default 500, after 37 354 workload steps
+        steps = [0]
+        advance = WorkloadStepper.advance
+
+        def counted(stepper, *args):
+            steps[0] += 1
+            return advance(stepper, *args)
+
+        monkeypatch.setattr(WorkloadStepper, "advance", counted)
+        g = SlotGame(8.19931867603644, 2.8925934929841195, 3, 28,
+                     make_deterministic(3), make_deterministic(2))
+        cfg = SolverConfig()
+        _, _, rep = iterated_best_response(g, cfg)
+        assert rep.converged and rep.iterations == 400
+        assert rep.passes(0.1 * cfg.verify_tol)
+        assert steps[0] <= 1.1 * 37354
+
     def test_move_back_ends_a_call(self, monkeypatch):
         # the calls at rounds 18, 29 and 40 move their shared set back to a
         # slot it has left and give up there; the solve converges at round
@@ -1111,6 +1166,39 @@ class TestJointFinish:
         iterated_best_response(game, SolverConfig(max_outer=max_outer))
         assert all(used <= max(budget, 4) for budget, used in calls), calls
         assert any(used == budget for budget, used in calls), calls
+
+    def test_slots_flipping_together_end_a_call(self, monkeypatch):
+        # the first Newton step, from (0, 0) to (5, -50), turns slots 1 and
+        # 2 to a's together and at the same point of the step, so no cut
+        # passes only one of them
+        fills = [0]
+
+        def stub(game, wbar_a, wbar_b, shared=()):
+            fills[0] += 1
+            s = wbar_a - wbar_b
+            return (np.array([0.5 + 0.1 * wbar_a, 0.5, 1.0 + 0.01 * wbar_b]),
+                    np.array([10.0, s - 5.0, 2.0 * (s - 5.0)]))
+
+        monkeypatch.setattr(solver, "_joint_fill", stub)
+        g = SlotGame(1.0, 1.0, 1, 3, make_deterministic(2), make_deterministic(1))
+        assert solver._finish(g, (0.0, 0.0), EPS, 10) is None
+        assert fills[0] == 4
+
+    def test_no_move_candidate_ends_a_call(self, monkeypatch):
+        # the residuals close on the block {0, 1}, but b's share of it
+        # comes out negative, and the only slot on a's side has no load
+        lam_b = 1e-12
+        total = (1.0 - 1e-10) * (1.0 + lam_b)
+        fills = [0]
+
+        def stub(game, wbar_a, wbar_b, shared=()):
+            fills[0] += 1
+            return np.array([0.5 * total, 0.5 * total, 0.0]), np.array([0.0, 0.0, -1.0])
+
+        monkeypatch.setattr(solver, "_joint_fill", stub)
+        g = SlotGame(1.0, lam_b, 1, 3, make_deterministic(2), make_deterministic(1))
+        assert solver._finish(g, (0.0, 0.0), EPS, 10) is None
+        assert fills[0] == 4
 
     def test_overfilled_start_gives_up_after_one_fill(self, monkeypatch):
         # waits far past br20's equilibrium load more than 1 + _EXACT_SPAN

@@ -201,8 +201,8 @@ def test_private_names_are_used_in_src():
 
 def test_public_surface_is_pinned():
     # A new public name, solver setting, input record field, parameter of
-    # a solve or simulation entry point or result field shows in a diff as
-    # an edit of this test.
+    # a solve or simulation entry point, result field or field of a
+    # service law shows in a diff as an edit of this test.
     assert sorted(arrivalgames.__all__) == [
         "AbmConfig", "AbmResult", "ArrivalStrategy",
         "DominanceReport", "EquilibriumReport",
@@ -232,6 +232,8 @@ def test_public_surface_is_pinned():
             arrivalgames.PosteriorView,
             arrivalgames.AbmResult,
             arrivalgames.DominanceReport,
+            arrivalgames.Pmf,
+            arrivalgames.ServiceDist,
         )
     }
     assert fields == {
@@ -257,6 +259,8 @@ def test_public_surface_is_pinned():
         "DominanceReport": [
             "dominance_holds", "paths_checked", "violating_paths", "max_workload_gap",
         ],
+        "Pmf": ["mass"],
+        "ServiceDist": ["kind", "chi", "cv", "pmf"],
     }
     params = {
         fn.__name__: list(inspect.signature(fn).parameters)

@@ -35,7 +35,7 @@ def step_pmf(v: Pmf, h: Pmf, tau: int) -> Pmf:
     """One-slot update on checked laws, an oracle for the array kernel:
     add the arriving work, then drain tau units."""
     c = convolve(v, h)
-    return Pmf(collapse_shift(c.mass, tau), c.tail_bound)
+    return Pmf(collapse_shift(c.mass, tau))
 
 
 def sample_pmf(pmf: Pmf, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -77,6 +77,11 @@ class TestArrivalStrategy:
     def test_zero_strategy_cannot_be_normalized(self):
         with pytest.raises(ValueError, match="zero strategy"):
             ArrivalStrategy(np.zeros(3)).normalized()
+
+    def test_overflowing_total_cannot_be_normalized(self):
+        # the total overflows to inf: dividing by it returned all zeros
+        with pytest.raises(ValueError, match="of total inf"):
+            ArrivalStrategy([1e308, 1e308]).normalized()
 
     def test_rebuilds_from_a_strategy(self):
         s = ArrivalStrategy(np.array([0.25, -1e-13, 0.75]))
